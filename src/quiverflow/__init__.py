@@ -9,13 +9,9 @@ from .quiver import (
     crawley_boevey_frame,
     degree_rank_slope,
     double_quiver,
-    framed_dims,
     handsaw_roles,
     handsaw_to_quiver,
-    induced_parameter,
-    is_admissible,
     reverse_quiver,
-    unit_dims,
     validate_quiver,
 )
 from .rep import (
@@ -29,7 +25,6 @@ from .rep import (
     group_act,
     hessian_apply,
     hessian_matrix,
-    holomorphic_symplectic_pairing,
     inf_action,
     inf_action_adjoint,
     moment_complex,
@@ -39,16 +34,13 @@ from .rep import (
     restrict_rep,
     rep_distance,
 )
-from .flow import BatchItem, FlowOptions, FlowResult, flow, flow_batch, trajectory_csv
+from .flow import FlowOptions, FlowResult, flow, trajectory_csv
 from .critical import (
     ClassifyTols,
     CriticalProfile,
-    SliceDecomposition,
     classify_critical,
-    grassmann_project,
     hessian_spectrum,
     negative_slice_basis,
-    slice_decompose,
     stratum_codim,
 )
 from .correspond import (
@@ -67,16 +59,7 @@ from .correspond import (
     lagrangian_check,
     snap_rep,
 )
-from .oracles import (
-    PolystabilityReport,
-    ThinSubrepLattice,
-    fd_gradient,
-    fd_hessian,
-    polystable_by_flow,
-    thin_admissible_subsets,
-    thin_hn_type,
-    thin_is_stable,
-)
+from .oracles import fd_gradient, fd_hessian, thin_hn_type
 from .selfcheck import run_selfcheck
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ from .quiver import canonical_stability, handsaw_to_quiver, validate_quiver
 from .flow import FlowOptions, flow, trajectory_csv
 from .critical import ClassifyTols, classify_critical, negative_slice_basis, stratum_codim
 from .correspond import (
+    AFFINE_FLOW_DEFAULTS,
     affine_project,
     handsaw_adjoint,
     handsaw_hecke_check,
@@ -102,7 +103,8 @@ def _seed(args) -> int:
     return int(os.environ.get("QUIVERFLOW_SEED", "0"))
 
 
-def _flow_options(args) -> FlowOptions:
+def _flow_options(args, base: FlowOptions) -> FlowOptions:
+    """The given flow flags applied on top of ``base``."""
     changes = {}
     for name in ("dt_init", "dt_min", "grad_tol", "drift_tol", "step_tol", "max_time"):
         v = getattr(args, name, None)
@@ -112,7 +114,10 @@ def _flow_options(args) -> FlowOptions:
         changes["max_steps"] = int(args.max_steps)
     if getattr(args, "constraint", None) is not None:
         changes["constraint"] = args.constraint
-    return dataclasses.replace(FlowOptions(), **changes)
+    try:
+        return dataclasses.replace(base, **changes)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _add_flow_flags(p):
@@ -124,6 +129,13 @@ def _add_flow_flags(p):
     p.add_argument("--max-time", dest="max_time", type=float)
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--constraint", choices=["auto", "doubled", "handsaw", "none"])
+
+
+def _add_tols_flags(p):
+    p.add_argument("--cluster-tol", dest="cluster_tol", type=float)
+    p.add_argument("--block-tol", dest="block_tol", type=float)
+    p.add_argument("--rank-tol", dest="rank_tol", type=float)
+    p.add_argument("--grad-tol", dest="grad_tol", type=float)
 
 
 def _opts_config(opts: FlowOptions) -> dict:
@@ -168,7 +180,7 @@ def _cmd_validate(args):
 def _cmd_flow(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    opts = _flow_options(args)
+    opts = _flow_options(args, FlowOptions())
     try:
         res = flow(x, alpha, opts)
     except ValueError as exc:
@@ -296,11 +308,7 @@ def _cmd_hecke_construct(args):
 
 def _cmd_project(args):
     x = _load_rep(args.rep)
-    opts = None
-    if any(getattr(args, n, None) is not None for n in
-           ("dt_init", "dt_min", "grad_tol", "drift_tol", "max_time", "max_steps",
-            "constraint")):
-        opts = _flow_options(args)
+    opts = _flow_options(args, AFFINE_FLOW_DEFAULTS)
     snap = args.snap
     if snap not in (None, "auto"):
         snap = float(snap)
@@ -424,20 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="block structure of a critical point")
     p.add_argument("rep")
     p.add_argument("alpha")
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float)
-    p.add_argument("--block-tol", dest="block_tol", type=float)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
+    _add_tols_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("negslice", help="negative slice basis at a split critical point")
     p.add_argument("rep")
     p.add_argument("alpha")
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float)
-    p.add_argument("--block-tol", dest="block_tol", type=float)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
+    _add_tols_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_negslice)
 

@@ -424,7 +424,6 @@ def affine_project(x: Representation, opts: FlowOptions | None = None,
 @dataclass
 class LagrangianReport:
     related: bool
-    iso_witness_found: bool
     p1: Representation
     p2: Representation
     grad1: float
@@ -444,7 +443,7 @@ def lagrangian_check(x1: Representation, x2: Representation,
     big1 = direct_sum(p1, Representation.zero(q, x2.dims))
     big2 = direct_sum(Representation.zero(q, x1.dims), p2)
     ok, _ = is_isomorphic(big1, big2, seed=seed, tol=iso_tol)
-    return LagrangianReport(related=ok, iso_witness_found=ok, p1=p1, p2=p2,
+    return LagrangianReport(related=ok, p1=p1, p2=p2,
                             grad1=r1.final_grad_norm, grad2=r2.final_grad_norm)
 
 

@@ -8,13 +8,11 @@ t - s, so the negative directions point from larger into smaller slope.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .quiver import Quiver, canonical_stability
+from .quiver import canonical_stability
 from .rep import (
     Representation,
     add_tangent,
@@ -22,19 +20,14 @@ from .rep import (
     edge_shapes,
     grad_energy,
     hessian_matrix,
-    inf_action,
     inf_action_adjoint,
-    mats_add,
     mats_norm,
-    mats_scale,
     moment_complex,
     moment_minus_alpha,
     mult_i,
-    pairing,
     ravel_real,
     slope_float,
     unravel_real,
-    group_act,
 )
 
 
@@ -300,114 +293,6 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
 
 
 # ---------------------------------------------------------------------------
-# slice coordinates near a point
-
-
-@dataclass
-class SliceDecomposition:
-    u: list[np.ndarray]
-    delta: list[np.ndarray]
-    residual: float
-    converged: bool
-    iterations: int
-
-
-def _rho_matrix(x: Representation) -> np.ndarray:
-    """The full infinitesimal action as a real matrix (vertex -> edge coords)."""
-    from .rep import vertex_shapes
-
-    vshapes = vertex_shapes(x.quiver, x.dims)
-    n = 2 * sum(s[0] * s[1] for s in vshapes)
-    cols = []
-    unit = np.zeros(n)
-    for col in range(n):
-        unit[col] = 1.0
-        cols.append(ravel_real(inf_action(x, unravel_real(unit, vshapes))))
-        unit[col] = 0.0
-    return np.array(cols).T if cols else np.zeros((0, 0))
-
-
-def slice_decompose(x: Representation, y: Representation, max_iter: int = 50,
-                    tol: float = 1e-9) -> SliceDecomposition:
-    """Write y = exp(u) . (x + delta) with u orthogonal to ker rho and delta
-    in ker rho*; damped Newton iteration on the slice coordinates."""
-    from .rep import vertex_shapes
-
-    if x.quiver.edges != y.quiver.edges or x.dims != y.dims:
-        raise ValueError("slice decomposition needs matching quiver and dims")
-    q = x.quiver
-    vshapes = vertex_shapes(q, x.dims)
-    eshapes = edge_shapes(q, x.dims)
-    R = _rho_matrix(x)
-    if R.size:
-        U_svd, s, Vt = np.linalg.svd(R)
-        smax = s[0] if len(s) else 0.0
-        rank = int(np.sum(s > 1e-10 * max(smax, 1.0)))
-        U_basis = Vt[:rank].T       # (ker rho)^perp, columns
-        D_basis = U_svd[:, rank:]    # ker rho*, columns
-    else:
-        U_basis = np.zeros((0, 0))
-        D_basis = np.zeros((0, 0))
-    nu, nd = U_basis.shape[1], D_basis.shape[1]
-
-    target = ravel_real(y.mats)
-
-    def group_of(cu):
-        u = unravel_real(U_basis @ cu, vshapes) if nu else unravel_real(
-            np.zeros(2 * sum(s[0] * s[1] for s in vshapes)), vshapes)
-        return [scipy.linalg.expm(m) if m.size else m.copy() for m in u]
-
-    def F(z):
-        cu, cd = z[:nu], z[nu:]
-        g = group_of(cu)
-        delta = unravel_real(D_basis @ cd, eshapes) if nd else [
-            np.zeros(s, dtype=complex) for s in eshapes]
-        moved = group_act(g, add_tangent(x, delta))
-        return ravel_real(moved.mats) - target
-
-    z = np.zeros(nu + nd)
-    # initial guess: project y - x onto the slice directions
-    diff = ravel_real(y.mats) - ravel_real(x.mats)
-    if nd:
-        z[nu:] = D_basis.T @ diff
-    res = F(z)
-    rnorm = float(np.linalg.norm(res))
-    scale = 1.0 + float(np.linalg.norm(target))
-    it = 0
-    h = 1e-7
-    while rnorm > tol * scale and it < max_iter:
-        J = np.zeros((len(res), nu + nd))
-        for col in range(nu + nd):
-            zp = z.copy()
-            zp[col] += h
-            zm = z.copy()
-            zm[col] -= h
-            J[:, col] = (F(zp) - F(zm)) / (2.0 * h)
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            cand = z + lam * step
-            rc = F(cand)
-            rcn = float(np.linalg.norm(rc))
-            if rcn < rnorm:
-                z, res, rnorm = cand, rc, rcn
-                improved = True
-                break
-            lam *= 0.5
-        it += 1
-        if not improved:
-            break
-    cu, cd = z[:nu], z[nu:]
-    u = unravel_real(U_basis @ cu, vshapes) if nu else [
-        np.zeros(s, dtype=complex) for s in vshapes]
-    delta = unravel_real(D_basis @ cd, eshapes) if nd else [
-        np.zeros(s, dtype=complex) for s in eshapes]
-    return SliceDecomposition(u=u, delta=delta, residual=rnorm / scale,
-                              converged=rnorm <= tol * scale, iterations=it)
-
-
-# ---------------------------------------------------------------------------
 # incoming-image strata
 
 
@@ -429,32 +314,3 @@ def stratum_codim(x: Representation, k: str, rank_tol: float = 1e-9) -> int:
     rank = int(np.sum(s > rank_tol * max(smax, 1.0))) if smax > 0 else 0
     return dk - rank
 
-
-def grassmann_project(x: Representation, k: str, r: int,
-                      rank_tol: float = 1e-9) -> Representation:
-    """Restrict to the incoming-image span at vertex k, rotated to leading
-    coordinates; drops r dimensions there."""
-    got = stratum_codim(x, k, rank_tol)
-    if got != int(r):
-        raise ValueError(f"codimension mismatch: stratum has {got}, expected {r}")
-    q = x.quiver
-    dk = x.dims[k]
-    keep = dk - int(r)
-    cols = [x.mats[e] for e in q.edges_into(k) if x.mats[e].shape[1] > 0]
-    if cols and keep > 0:
-        M = np.concatenate(cols, axis=1)
-        U, s, _ = np.linalg.svd(M)
-        Q1 = U[:, :keep]
-    else:
-        Q1 = np.zeros((dk, keep), dtype=complex)
-    dims = dict(x.dims)
-    dims[k] = keep
-    mats = []
-    for e in range(q.nedges):
-        m = x.mats[e]
-        if q.head(e) == k:
-            m = Q1.conj().T @ m
-        if q.tail(e) == k:
-            m = m @ Q1
-        mats.append(m)
-    return Representation(q, dims, mats)

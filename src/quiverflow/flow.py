@@ -10,7 +10,7 @@ is performed: drift is monitored and reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,22 @@ class FlowOptions:
     constraint: str = "auto"  # auto | none | doubled | handsaw
     sample_stride: int = 10
 
+    def __post_init__(self):
+        # a zero dt_init accepts empty steps until the step budget runs out, an
+        # infinite one is halved forever, and a zero stride divides by zero
+        if not (np.isfinite(self.dt_init) and self.dt_init > 0):
+            raise ValueError(f"dt_init must be finite and positive, got {self.dt_init!r}")
+        if not 0 < self.dt_min <= self.dt_init:
+            raise ValueError(f"dt_min must lie in (0, dt_init], got {self.dt_min!r}")
+        for name in ("grad_tol", "drift_tol", "step_tol", "max_time"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be nonnegative, got {self.max_steps!r}")
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be at least 1, got {self.sample_stride!r}")
+
 
 @dataclass
 class FlowResult:
@@ -52,13 +68,6 @@ class FlowResult:
     steps: int
     time: float
     options: FlowOptions
-
-
-@dataclass
-class BatchItem:
-    index: int
-    result: FlowResult | None = None
-    error: str | None = None
 
 
 def resolve_constraint(quiver: Quiver, kind: str) -> str:
@@ -193,17 +202,6 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         time=t,
         options=opts,
     )
-
-
-def flow_batch(xs, alpha, opts: FlowOptions | None = None) -> list[BatchItem]:
-    """Flow several representations with per-item error isolation."""
-    out = []
-    for i, x in enumerate(xs):
-        try:
-            out.append(BatchItem(index=i, result=flow(x, alpha, opts)))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            out.append(BatchItem(index=i, error=str(exc)))
-    return out
 
 
 def trajectory_csv(result: FlowResult) -> str:

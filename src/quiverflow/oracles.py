@@ -1,5 +1,5 @@
-"""Independent cross-checks: finite differences, exact combinatorics on thin
-representations, and a flow-based polystability probe.
+"""Independent cross-checks: finite differences and exact combinatorics on
+thin representations.
 
 The thin-case routines work over exact rationals so they can serve as ground
 truth for the numerical pipeline.
@@ -7,7 +7,6 @@ truth for the numerical pipeline.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,14 +16,10 @@ from .rep import (
     Representation,
     energy,
     grad_energy,
-    grad_norm,
     ravel_real,
-    rep_distance,
     unravel_real,
     edge_shapes,
 )
-from .flow import FlowOptions, FlowResult, flow
-from .correspond import AFFINE_FLOW_DEFAULTS, is_isomorphic, snap_rep
 
 
 def fd_gradient(x: Representation, alpha, h: float = 1e-5):
@@ -66,15 +61,6 @@ def fd_hessian(x: Representation, alpha, h: float = 1e-4) -> np.ndarray:
 # thin representations: every dimension 0 or 1, so subobjects are vertex sets
 
 
-@dataclass
-class ThinSubrepLattice:
-    """All vertex subsets closed under the edges the representation uses."""
-
-    support: tuple[str, ...]
-    subsets: list[tuple[str, ...]]
-    threshold: float
-
-
 def _thin_support(x: Representation) -> tuple[str, ...]:
     for v, d in x.dims.items():
         if d not in (0, 1):
@@ -100,18 +86,6 @@ def _closed(subset: frozenset, pairs, alive: frozenset) -> bool:
     return True
 
 
-def thin_admissible_subsets(x: Representation, threshold: float = 1e-12) -> ThinSubrepLattice:
-    support = _thin_support(x)
-    pairs = _edge_pairs(x, threshold)
-    alive = frozenset(support)
-    subsets = []
-    for r in range(len(support) + 1):
-        for combo in combinations(support, r):
-            if _closed(frozenset(combo), pairs, alive):
-                subsets.append(combo)
-    return ThinSubrepLattice(support=support, subsets=subsets, threshold=threshold)
-
-
 def _slope(alpha, subset) -> Fraction:
     total = Fraction(0)
     for v in subset:
@@ -124,8 +98,12 @@ def thin_hn_type(x: Representation, alpha, threshold: float = 1e-12):
 
     Returns a list of (dims, slope) pairs with strictly decreasing slopes.
     At each stage the subset of maximal slope, then maximal size, is split
-    off and its vertices are deleted from the quotient.
+    off and its vertices are deleted from the quotient.  ``threshold`` is
+    the magnitude above which an edge counts as acting; it must be finite and
+    nonnegative.
     """
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
     support = _thin_support(x)
     pairs = _edge_pairs(x, threshold)
     alive = set(support)
@@ -157,81 +135,3 @@ def thin_hn_type(x: Representation, alpha, threshold: float = 1e-12):
             raise RuntimeError("filtration slopes failed to decrease strictly")
     return out
 
-
-def thin_is_stable(x: Representation, alpha, threshold: float = 1e-12) -> str:
-    """Trichotomy 'stable' / 'semistable' / 'unstable' for thin data.
-
-    The weights must pair to zero against the dimension vector, so the total
-    slope is zero and proper subobjects are compared against it.
-    """
-    support = _thin_support(x)
-    total = sum(Fraction(alpha[v]) for v in support)
-    if total != 0:
-        raise ValueError("weights must pair to zero against the dimensions")
-    lattice = thin_admissible_subsets(x, threshold)
-    verdict = "stable"
-    for combo in lattice.subsets:
-        if not combo or len(combo) == len(support):
-            continue
-        s = _slope(alpha, combo)
-        if s > 0:
-            return "unstable"
-        if s == 0:
-            verdict = "semistable"
-    return verdict
-
-
-# ---------------------------------------------------------------------------
-# polystability via the flow
-
-
-@dataclass
-class PolystabilityReport:
-    polystable: bool | None
-    status: str
-    final_energy: float
-    iso_to_limit: bool
-    limit: Representation
-    flow_result: FlowResult = field(repr=False)
-
-
-def polystable_by_flow(x: Representation, alpha, opts: FlowOptions | None = None,
-                       poly_tol: float = 1e-10, iso_tol: float = 1e-6,
-                       seed: int = 0) -> PolystabilityReport:
-    """Flow to the nearest critical point and ask whether the limit stays in
-    the orbit.  Closed orbits keep both the zero energy level and the
-    isomorphism class; a budget-exhausted flow yields an indeterminate report.
-    """
-    all_zero = all(abs(float(alpha[v])) < 1e-15 for v in alpha)
-    if opts is None:
-        # radial directions of the zero-weight flow decay only polynomially,
-        # so that case gets a much larger time budget
-        opts = AFFINE_FLOW_DEFAULTS if all_zero else FlowOptions()
-    result = flow(x, alpha, opts)
-    if result.status != "converged":
-        return PolystabilityReport(polystable=None, status="indeterminate",
-                                   final_energy=result.final_energy,
-                                   iso_to_limit=False, limit=result.limit,
-                                   flow_result=result)
-    # at any finite flow time the raw limit still sits inside the gauge orbit
-    # of x, so comparing it against x says nothing; the verdict must use a
-    # representative of the asymptotic orbit, obtained by snapping entries
-    # below the residue scale and checking the snap kept the point critical
-    limit = result.limit
-    scale = 1.0 + x.norm() ** 4
-    rep = limit
-    thr = 10.0 * max(result.final_grad_norm, 1e-30) ** (1.0 / 3.0)
-    snapped = snap_rep(limit, thr)
-    if rep_distance(snapped, limit) > 0:
-        e_raw = energy(limit, alpha)
-        if (energy(snapped, alpha) <= max(10.0 * e_raw, 1e-8 * scale)
-                and grad_norm(snapped, alpha) <= max(10.0 * result.final_grad_norm,
-                                                     opts.grad_tol)):
-            rep = snapped
-    e = energy(rep, alpha)
-    ok = False
-    if e < poly_tol * scale:
-        ok, _ = is_isomorphic(rep, x, seed=seed, tol=iso_tol)
-    status = "polystable" if ok else "not-polystable"
-    return PolystabilityReport(polystable=ok, status=status, final_energy=e,
-                               iso_to_limit=ok, limit=rep, flow_result=result)

@@ -64,9 +64,6 @@ class Quiver:
     def edges_into(self, v: str) -> list[int]:
         return [e for e, (_, h) in enumerate(self.edges) if h == v]
 
-    def edges_out(self, v: str) -> list[int]:
-        return [e for e, (t, _) in enumerate(self.edges) if t == v]
-
     def label(self, e: int) -> str | None:
         return None if self.labels is None else self.labels[e]
 
@@ -131,27 +128,6 @@ def dim_total(dims: Mapping[str, int]) -> int:
     return sum(int(d) for d in dims.values())
 
 
-def dim_add(a: Mapping[str, int], b: Mapping[str, int]) -> dict[str, int]:
-    return {v: int(a[v]) + int(b[v]) for v in a}
-
-
-def dim_sub(a: Mapping[str, int], b: Mapping[str, int]) -> dict[str, int]:
-    out = {v: int(a[v]) - int(b[v]) for v in a}
-    if any(d < 0 for d in out.values()):
-        raise ValueError("dimension vector difference has negative entries")
-    return out
-
-
-def unit_dims(q: Quiver, k: str) -> dict[str, int]:
-    if k not in q.vertices:
-        raise ValueError(f"unknown vertex {k!r}")
-    return {v: (1 if v == k else 0) for v in q.vertices}
-
-
-def dims_leq(a: Mapping[str, int], b: Mapping[str, int]) -> bool:
-    return all(int(a[v]) <= int(b[v]) for v in a)
-
-
 # ---------------------------------------------------------------------------
 # stability parameters
 
@@ -178,15 +154,6 @@ def degree_rank_slope(alpha: Mapping, vp: Mapping[str, int]):
     return deg, rank, deg / rank
 
 
-def is_admissible(alpha: Mapping, v: Mapping[str, int], tol: float = 1e-12) -> bool:
-    """True iff the pairing alpha . v vanishes (exactly for rational weights)."""
-    if set(alpha) != set(v):
-        raise ValueError("weight keys must match dimension-vector keys")
-    if _exact(alpha.values()):
-        return sum(Fraction(alpha[u]) * v[u] for u in v) == 0
-    return abs(sum(float(alpha[u]) * v[u] for u in v)) <= tol
-
-
 def canonical_stability(q: Quiver, v: Mapping[str, int]) -> dict[str, int]:
     """Weight 1 on every ordinary vertex, minus the total ordinary dimension at
     the distinguished vertex.  Requires dims 1 there."""
@@ -199,15 +166,6 @@ def canonical_stability(q: Quiver, v: Mapping[str, int]) -> dict[str, int]:
     alpha = {u: 1 for u in q.ordinary_vertices}
     alpha[q.infinity] = -total
     return alpha
-
-
-def induced_parameter(alpha: Mapping, vp: Mapping[str, int]) -> dict:
-    """Shift alpha by the slope of ``vp`` so that ``vp`` gets degree zero."""
-    _, _, mu = degree_rank_slope(alpha, vp)
-    if _exact(alpha.values()) and isinstance(mu, Fraction):
-        return {u: Fraction(alpha[u]) - mu for u in alpha}
-    mu = float(mu)
-    return {u: float(alpha[u]) - mu for u in alpha}
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +222,6 @@ def crawley_boevey_frame(q: Quiver, w: Mapping[str, int], infinity: str = "inf")
         infinity=infinity,
         labels=tuple(labels),
     )
-
-
-def framed_dims(v: Mapping[str, int], infinity: str = "inf") -> dict[str, int]:
-    """Extend a dimension vector over the framing vertex by 1."""
-    out = {u: int(d) for u, d in v.items()}
-    if infinity in out:
-        raise ValueError("dimension vector already covers the framing vertex")
-    out[infinity] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------

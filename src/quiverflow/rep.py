@@ -54,11 +54,6 @@ class Representation:
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.mats)))
 
-    def approx_eq(self, other: "Representation", tol: float = 1e-10) -> bool:
-        if self.quiver.edges != other.quiver.edges or self.dims != other.dims:
-            return False
-        return rep_distance(self, other) <= tol * (1.0 + self.norm())
-
     @classmethod
     def zero(cls, quiver: Quiver, dims: Mapping[str, int]) -> "Representation":
         dims = check_dims(quiver, dims)
@@ -94,10 +89,6 @@ def edge_shapes(quiver: Quiver, dims: Mapping[str, int]) -> list[tuple[int, int]
 
 def vertex_shapes(quiver: Quiver, dims: Mapping[str, int]) -> list[tuple[int, int]]:
     return [(dims[v], dims[v]) for v in quiver.vertices]
-
-
-def zero_mats(shapes: Sequence[tuple[int, int]]) -> Mats:
-    return [np.zeros(s, dtype=complex) for s in shapes]
 
 
 def random_mats(shapes, rng: np.random.Generator, scale: float = 1.0) -> Mats:
@@ -183,13 +174,6 @@ def group_act(g: Sequence[np.ndarray], x: Representation) -> Representation:
     mats = [g[vidx[q.head(e)]] @ x.mats[e] @ ginv[vidx[q.tail(e)]]
             for e in range(q.nedges)]
     return Representation(q, dict(x.dims), mats)
-
-
-def group_act_tangent(g: Sequence[np.ndarray], X: Mats, quiver: Quiver) -> Mats:
-    vidx = {v: i for i, v in enumerate(quiver.vertices)}
-    ginv = _inverses(g)
-    return [g[vidx[quiver.head(e)]] @ X[e] @ ginv[vidx[quiver.tail(e)]]
-            for e in range(quiver.nedges)]
 
 
 def inf_action(x: Representation, u: Sequence[np.ndarray]) -> Mats:
@@ -285,14 +269,6 @@ def d_moment_complex(x: Representation, X: Mats) -> Mats:
         out[vidx[q.head(a)]] += dA @ B + A @ dB
         out[vidx[q.tail(a)]] -= B @ dA + dB @ A
     return out
-
-
-def holomorphic_symplectic_pairing(quiver: Quiver, X: Mats, Y: Mats) -> complex:
-    """omega_C(X, Y) = sum over pairs tr(Y_a X_abar - Y_abar X_a)."""
-    total = 0.0 + 0.0j
-    for a, ab in _paired_edges(quiver):
-        total += np.trace(Y[a] @ X[ab]) - np.trace(Y[ab] @ X[a])
-    return complex(total)
 
 
 def central_element(quiver: Quiver, alpha: Mapping, dims: Mapping[str, int]) -> Mats:

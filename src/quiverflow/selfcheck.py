@@ -8,30 +8,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixtures
-from .quiver import canonical_stability
 from .rep import (
     Representation,
     anti_hermitian_part,
-    energy,
     grad_energy,
-    grad_norm,
     group_act,
     hessian_matrix,
     inf_action,
     inf_action_adjoint,
-    moment_minus_alpha,
     mult_i,
     mats_norm,
     mats_sub,
     random_mats,
-    ravel_real,
     rep_distance,
     vertex_shapes,
     d_moment_real,
     moment_real,
 )
 from .flow import FlowOptions, flow
-from .critical import ClassifyTols, classify_critical, hessian_spectrum
+from .critical import classify_critical, hessian_spectrum
 from .correspond import (
     flowline_to_hecke,
     handsaw_adjoint,

@@ -77,10 +77,6 @@ def dims_from_json(obj: dict) -> dict:
     return out
 
 
-def dims_to_json(dims: dict) -> dict:
-    return {"dims": {v: int(d) for v, d in dims.items()}}
-
-
 def parse_weight(value):
     """int | float | Fraction from a JSON scalar; strings may be 'p/q'."""
     if isinstance(value, bool):
@@ -106,18 +102,6 @@ def weights_from_json(obj: dict) -> dict:
     if not isinstance(data, dict):
         raise ValueError("weight document must be an object")
     return {str(v): parse_weight(w) for v, w in data.items()}
-
-
-def weights_to_json(alpha: dict) -> dict:
-    out = {}
-    for v, w in alpha.items():
-        if isinstance(w, Fraction):
-            out[v] = f"{w.numerator}/{w.denominator}" if w.denominator != 1 else w.numerator
-        elif isinstance(w, (int, np.integer)):
-            out[v] = int(w)
-        else:
-            out[v] = float(w)
-    return {"weights": out}
 
 
 def _parse_entry(item) -> complex:
@@ -198,21 +182,6 @@ def intertwiner_to_json(xi) -> dict:
         "injective": xi.injective,
         "surjective": xi.surjective,
     }
-
-
-def write_json_atomic(path: str, obj) -> None:
-    """Serialize with sorted keys and atomically replace the target."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -15,22 +15,27 @@ from quiverflow.fixtures import (
     jordan_rep,
 )
 from quiverflow.rep import Representation
-from quiverflow.serde import quiver_to_json, rep_to_json, write_json_atomic
+from quiverflow.serde import quiver_to_json, rep_to_json
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("QUIVERFLOW_SEED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "quiverflow.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def write_rep(path, x):
-    write_json_atomic(str(path), rep_to_json(x))
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
     return str(path)
+
+
+def write_rep(path, x):
+    return write_json(path, rep_to_json(x))
 
 
 @pytest.fixture
@@ -40,8 +45,7 @@ def f1_files(tmp_path):
                            [np.zeros((0, 1), dtype=complex),
                             np.zeros((1, 0), dtype=complex)])
     return {
-        "quiver": write_json_atomic(str(tmp_path / "q.json"), quiver_to_json(q))
-                  or str(tmp_path / "q.json"),
+        "quiver": write_json(tmp_path / "q.json", quiver_to_json(q)),
         "rep": write_rep(tmp_path / "rep.json", framed_a1_rep(0.0, 3.0)),
         "crit": write_rep(tmp_path / "crit.json", framed_a1_rep(0.0, np.sqrt(2))),
         "small": write_rep(tmp_path / "small.json", small),
@@ -61,9 +65,8 @@ def test_validate_ok(f1_files):
 
 
 def test_validate_bad_quiver(tmp_path):
-    write_json_atomic(str(tmp_path / "bad.json"),
-                      {"vertices": ["1"], "edges": [["1", "ghost"]]})
-    code, out, err = run_cli("validate", str(tmp_path / "bad.json"))
+    bad = write_json(tmp_path / "bad.json", {"vertices": ["1"], "edges": [["1", "ghost"]]})
+    code, out, err = run_cli("validate", bad)
     assert code == 2
 
 
@@ -97,9 +100,17 @@ def test_flow_budget_exit_code(f1_files):
     assert json.loads(out)["result"]["status"] == "max_steps"
 
 
+def test_flow_rejects_bad_options(f1_files):
+    # a zero initial step used to run its whole step budget, about 20 minutes
+    for flags in (["--dt-init", "0"], ["--max-steps", "-5"]):
+        code, _, err = run_cli("flow", f1_files["rep"], "canonical", *flags, timeout=60)
+        assert code == 2
+        assert "must" in err
+
+
 def test_flow_rejects_bad_weights(f1_files, tmp_path):
-    write_json_atomic(str(tmp_path / "w.json"), {"weights": {"1": "nope"}})
-    code, _, err = run_cli("flow", f1_files["rep"], str(tmp_path / "w.json"))
+    weights = write_json(tmp_path / "w.json", {"weights": {"1": "nope"}})
+    code, _, err = run_cli("flow", f1_files["rep"], weights)
     assert code == 2
     assert "bad weights" in err
 
@@ -143,6 +154,9 @@ def test_hn_thin_oracle(f1_files):
     code, _, err = run_cli("hn", f1_files["rep"], "canonical",
                            "--oracle", "dense")
     assert code == 2
+    code, _, err = run_cli("hn", f1_files["rep"], "canonical", "--threshold", "-1")
+    assert code == 2
+    assert "threshold" in err
 
 
 def test_hecke_membership_exit_codes(f1_files):
@@ -185,6 +199,21 @@ def test_project_snaps_to_zero(tmp_path):
     assert m[0][0] == [0.5, 0.0]
     assert m[0][1] == [0.0, 0.0]
     assert m[1][0] == [0.0, 0.0]
+
+
+def test_project_flow_flags_apply_on_affine_defaults(tmp_path):
+    rep = write_rep(tmp_path / "j.json", jordan_rep([[1.0, 1.0], [0.0, 2.0]]))
+
+    def steps(*flags):
+        code, out, _ = run_cli("project", rep, "--snap", "auto", *flags)
+        assert code == 0
+        return json.loads(out)["result"]["steps"]
+
+    base = steps()
+    # restating a default leaves the zero-weight defaults in force
+    assert steps("--max-steps", "1000000") == base
+    # and a looser step tolerance reaches the flow
+    assert steps("--step-tol", "1e-6") < base
 
 
 def test_stratum_codim(f1_files):
@@ -256,3 +285,11 @@ def test_seed_sources(f1_files):
     assert json.loads(out)["config"]["seed"] == 9
     code, out, _ = run_cli("hecke", f1_files["small"], f1_files["member"], "1")
     assert json.loads(out)["config"]["seed"] == 0
+
+
+def test_cli_import_does_not_load_scipy():
+    code = ("import sys, quiverflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

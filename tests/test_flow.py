@@ -9,7 +9,7 @@ from quiverflow.fixtures import (
     random_doubled,
     random_plain,
 )
-from quiverflow.flow import FlowOptions, constraint_norm, flow, flow_batch, trajectory_csv
+from quiverflow.flow import FlowOptions, constraint_norm, flow, trajectory_csv
 from quiverflow.rep import (
     direct_sum,
     energy,
@@ -70,6 +70,17 @@ def test_budget_statuses():
     assert flow(x0, alpha, FlowOptions(max_steps=2)).status == "max_steps"
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt_init": 0.0}, {"dt_init": -1.0}, {"dt_init": float("inf")},
+    {"dt_min": 0.0}, {"dt_min": 1.0}, {"max_steps": -5}, {"sample_stride": 0},
+    {"grad_tol": 0.0}, {"drift_tol": -1e-8}, {"step_tol": float("nan")},
+    {"max_time": float("inf")},
+])
+def test_flow_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        FlowOptions(**bad)
+
+
 def test_underflow_off_level_set():
     # doubled data away from the complex-moment zero level cannot keep the
     # constraint increment bound, and says so
@@ -113,19 +124,6 @@ def test_direct_sum_stays_direct_sum():
     # each summand reaches its own minimum
     assert abs(abs(r.limit.mats[1][0, 0]) - np.sqrt(2)) < 1e-6
     assert abs(abs(r.limit.mats[1][1, 1]) - np.sqrt(2)) < 1e-6
-
-
-def test_flow_batch_isolation():
-    alpha = framed_a1_weights()
-    assert flow_batch([], alpha) == []
-    good = [framed_a1_rep(0.0, b) for b in (1.0, 2.0, 3.0)]
-    bad = framed_a1_rep(1.0, 1.0)
-    bad.mats[0][0, 0] = np.nan
-    items = flow_batch(good[:1] + [bad] + good[1:], alpha, FlowOptions(dt_init=0.5))
-    assert [it.index for it in items] == [0, 1, 2, 3]
-    assert items[1].result is None and "non-finite" in items[1].error
-    for it in (items[0], items[2], items[3]):
-        assert it.error is None and it.result.status == "converged"
 
 
 def test_trajectory_csv_format():

@@ -17,25 +17,9 @@ from quiverflow.fixtures import (
     jordan_rep,
 )
 from quiverflow.flow import FlowOptions, flow
-from quiverflow.oracles import (
-    polystable_by_flow,
-    thin_admissible_subsets,
-    thin_hn_type,
-    thin_is_stable,
-)
+from quiverflow.oracles import thin_hn_type
 from quiverflow.quiver import Quiver, reverse_quiver
 from quiverflow.rep import Representation, group_act, random_rep
-
-
-def test_thin_subsets_pure_b():
-    lat = thin_admissible_subsets(framed_a1_rep(0.0, 1.7))
-    assert lat.support == ("1", "inf")
-    assert lat.subsets == [(), ("inf",), ("1", "inf")]
-
-
-def test_thin_subsets_rejects_nonthin():
-    with pytest.raises(ValueError):
-        thin_admissible_subsets(jordan_rep(np.eye(2)))
 
 
 def test_thin_hn_chain3_partial_support():
@@ -51,6 +35,14 @@ def test_thin_hn_frozen_small_cases():
         ({"1": 1, "2": 1}, Fraction(0))]
     assert thin_hn_type(framed_a1_rep(0.0, 0.0), framed_a1_weights()) == [
         ({"1": 1, "inf": 0}, Fraction(1)), ({"1": 0, "inf": 1}, Fraction(-1))]
+
+
+def test_thin_hn_rejects_bad_input():
+    with pytest.raises(ValueError):
+        thin_hn_type(jordan_rep(np.eye(2)), {"1": 0})
+    for threshold in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            thin_hn_type(chain2_rep(1.0), chain2_weights(), threshold=threshold)
 
 
 def test_thin_hn_equal_slopes_merge_without_warning():
@@ -75,19 +67,6 @@ def test_thin_hn_invariant_under_diagonal_action():
         assert thin_hn_type(group_act(g, x), alpha) == thin_hn_type(x, alpha)
 
 
-def test_trichotomy_frozen():
-    assert thin_is_stable(chain2_rep(1.0), chain2_weights()) == "stable"
-    assert thin_is_stable(chain2_rep(0.0), chain2_weights()) == "unstable"
-    assert thin_is_stable(chain2_rep(1.0), {"1": 0, "2": 0}) == "semistable"
-    assert thin_is_stable(framed_a1_rep(2.0, 0.0), framed_a1_weights()) == "unstable"
-    assert thin_is_stable(framed_a1_rep(0.0, 2.0), framed_a1_weights()) == "stable"
-
-
-def test_trichotomy_requires_zero_pairing():
-    with pytest.raises(ValueError):
-        thin_is_stable(chain2_rep(1.0), {"1": 1, "2": 0})
-
-
 def dual_rep(x):
     return Representation(reverse_quiver(x.quiver), dict(x.dims),
                           [m.conj().T for m in x.mats])
@@ -102,37 +81,8 @@ def test_adjoint_duality():
     for x, alpha in cases:
         neg = {v: -Fraction(a) for v, a in alpha.items()}
         y = dual_rep(x)
-        assert thin_is_stable(y, neg) == thin_is_stable(x, alpha)
         expect = [(d, -s) for d, s in reversed(thin_hn_type(x, alpha))]
         assert thin_hn_type(y, neg) == expect
-
-
-def test_polystable_frozen_cases():
-    r = polystable_by_flow(framed_a1_rep(0.0, np.sqrt(2)), framed_a1_weights())
-    assert r.polystable is True
-    assert r.final_energy < 1e-30
-
-    assert polystable_by_flow(chain2_rep(1.5), {"1": 0, "2": 0}).polystable is False
-
-    q = framed_a1()
-    zero = Representation(q, {"1": 1, "inf": 1},
-                          [np.zeros((1, 1), dtype=complex),
-                           np.zeros((1, 1), dtype=complex)])
-    rz = polystable_by_flow(zero, {"1": 0, "inf": 0})
-    assert rz.polystable is True
-    assert rz.flow_result.steps == 0
-
-    assert polystable_by_flow(jordan_rep(np.diag([1.0, -2.0])), {"1": 0}).polystable is True
-    rj = polystable_by_flow(jordan_rep([[1.0, 1.0], [0.0, 1.0]]), {"1": 0})
-    assert rj.polystable is False
-    assert rj.status == "not-polystable"
-
-
-def test_polystable_indeterminate_on_budget():
-    r = polystable_by_flow(framed_a1_rep(0.0, 3.0), framed_a1_weights(),
-                           opts=FlowOptions(max_steps=2))
-    assert r.polystable is None
-    assert r.status == "indeterminate"
 
 
 def partition(dims_list):

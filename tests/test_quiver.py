@@ -8,17 +8,10 @@ from quiverflow.quiver import (
     check_dims,
     crawley_boevey_frame,
     degree_rank_slope,
-    dim_add,
-    dim_sub,
-    dims_leq,
     double_quiver,
-    framed_dims,
     handsaw_roles,
     handsaw_to_quiver,
-    induced_parameter,
-    is_admissible,
     reverse_quiver,
-    unit_dims,
     validate_quiver,
 )
 
@@ -62,24 +55,6 @@ def test_check_dims():
         check_dims(q, {"1": -1, "2": 0})
 
 
-def test_dim_arithmetic():
-    a = {"1": 2, "2": 1}
-    b = {"1": 1, "2": 1}
-    assert dim_add(a, b) == {"1": 3, "2": 2}
-    assert dim_sub(a, b) == {"1": 1, "2": 0}
-    assert dims_leq(b, a)
-    assert not dims_leq(a, b)
-    with pytest.raises(ValueError):
-        dim_sub(b, a)
-
-
-def test_unit_dims():
-    q = Quiver(vertices=("1", "2"), edges=())
-    assert unit_dims(q, "2") == {"1": 0, "2": 1}
-    with pytest.raises(ValueError):
-        unit_dims(q, "3")
-
-
 def test_double_quiver_pairing():
     q = Quiver(vertices=("1", "2"), edges=(("1", "2"),))
     dq = double_quiver(q)
@@ -104,7 +79,6 @@ def test_crawley_boevey_frame():
     assert framed.infinity == "inf"
     assert framed.edges == (("1", "2"), ("inf", "1"), ("inf", "1"))
     assert framed.labels[1:] == ("a_1^1", "a_1^2")
-    assert framed_dims({"1": 3, "2": 1}) == {"1": 3, "2": 1, "inf": 1}
 
 
 def test_handsaw_structure():
@@ -145,13 +119,6 @@ def test_degree_rank_slope_exact():
         degree_rank_slope(alpha, {"1": 1})
 
 
-def test_admissible():
-    assert is_admissible({"1": 1, "inf": -2}, {"1": 2, "inf": 1})
-    assert not is_admissible({"1": 1, "inf": -2}, {"1": 1, "inf": 1})
-    # float weights use the tolerance path
-    assert is_admissible({"1": 0.5, "inf": -1.0}, {"1": 2, "inf": 1})
-
-
 def test_canonical_stability():
     base = Quiver(vertices=("1",), edges=())
     q = crawley_boevey_frame(base, {"1": 1})
@@ -163,11 +130,3 @@ def test_canonical_stability():
     with pytest.raises(ValueError):
         canonical_stability(plain, {"1": 1})
 
-
-def test_induced_parameter():
-    # sub-dimension (1,1) inside dims (2,1) shifts weights by its slope -1/2
-    alpha = {"1": 1, "inf": -2}
-    shifted = induced_parameter(alpha, {"1": 1, "inf": 1})
-    assert shifted == {"1": Fraction(3, 2), "inf": Fraction(-3, 2)}
-    deg, _, _ = degree_rank_slope(shifted, {"1": 1, "inf": 1})
-    assert deg == 0

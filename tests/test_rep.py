@@ -26,7 +26,6 @@ from quiverflow.rep import (
     grad_norm,
     group_act,
     hessian_matrix,
-    holomorphic_symplectic_pairing,
     inf_action,
     inf_action_adjoint,
     mats_norm,
@@ -80,15 +79,6 @@ def test_moment_complex_values():
     assert_allclose(mc[1], [[-6.0]], atol=1e-14)
     # vanishes whenever one side of the pair is zero
     assert mats_norm(moment_complex(framed_a1_rep(0.0, 3.0))) == 0.0
-
-
-def test_symplectic_pairing_antisymmetric():
-    q = framed_a1()
-    X = [np.array([[1.0 + 0j]]), np.array([[0j]])]
-    Y = [np.array([[0j]]), np.array([[2.0 + 0j]])]
-    assert holomorphic_symplectic_pairing(q, X, Y) == pytest.approx(-2.0)
-    assert holomorphic_symplectic_pairing(q, Y, X) == pytest.approx(2.0)
-    assert holomorphic_symplectic_pairing(q, X, X) == pytest.approx(0.0)
 
 
 def test_ravel_round_trip():
