@@ -3,6 +3,11 @@
 Every command reads JSON documents, prints a JSON report (or writes it with
 an atomic replace when --out is given) and exits 0 on success, 2 on invalid
 input, 3 when a numerical procedure fails to reach its target.
+
+A handler takes the parsed arguments and returns ``(config, result, exit
+code)``; a library ``ValueError`` propagates out of it.  ``main`` alone
+builds and writes the payload and turns bad input, including an output
+path that cannot be written, into ``error: ...`` on stderr with exit 2.
 """
 from __future__ import annotations
 
@@ -31,15 +36,16 @@ from . import serde
 
 OK, BAD_INPUT, NO_CONVERGE = 0, 2, 3
 
+# option fields a command line may set, each as the flag --name-with-dashes
+_FLOW_FIELDS = ("dt_init", "dt_min", "grad_tol", "drift_tol", "step_tol", "max_time",
+               "max_steps", "constraint")
+_TOLS_FIELDS = ("cluster_tol", "block_tol", "rank_tol", "grad_tol")
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = BAD_INPUT):
         super().__init__(message)
         self.code = code
-
-
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _read(path: str):
@@ -70,31 +76,11 @@ def _resolve_alpha(spec: str, x):
     if spec == "zero":
         return {v: 0 for v in x.quiver.vertices}
     if spec == "canonical":
-        try:
-            return canonical_stability(x.quiver, x.dims)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return canonical_stability(x.quiver, x.dims)
     try:
         return serde.weights_from_json(_read(spec))
     except ValueError as exc:
         raise CliError(f"bad weights in {spec}: {exc}") from exc
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        serde.write_text_atomic(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _payload(command: str, config: dict, result: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "result": result,
-        "timestamp": _timestamp(),
-    }
 
 
 def _seed(args) -> int:
@@ -103,55 +89,17 @@ def _seed(args) -> int:
     return int(os.environ.get("QUIVERFLOW_SEED", "0"))
 
 
-def _flow_options(args, base: FlowOptions) -> FlowOptions:
-    """The given flow flags applied on top of ``base``."""
-    changes = {}
-    for name in ("dt_init", "dt_min", "grad_tol", "drift_tol", "step_tol", "max_time"):
-        v = getattr(args, name, None)
-        if v is not None:
-            changes[name] = float(v)
-    if getattr(args, "max_steps", None) is not None:
-        changes["max_steps"] = int(args.max_steps)
-    if getattr(args, "constraint", None) is not None:
-        changes["constraint"] = args.constraint
-    try:
-        return dataclasses.replace(base, **changes)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _given(args, base, names):
+    """``base`` with the fields in ``names`` that were given as flags."""
+    return dataclasses.replace(base, **{n: getattr(args, n) for n in names
+                                        if getattr(args, n) is not None})
 
 
-def _add_flow_flags(p):
-    p.add_argument("--dt-init", dest="dt_init", type=float)
-    p.add_argument("--dt-min", dest="dt_min", type=float)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--drift-tol", dest="drift_tol", type=float)
-    p.add_argument("--step-tol", dest="step_tol", type=float)
-    p.add_argument("--max-time", dest="max_time", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--constraint", choices=["auto", "doubled", "handsaw", "none"])
+def _fields(obj, names) -> dict:
+    return {n: getattr(obj, n) for n in names}
 
 
-def _add_tols_flags(p):
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float)
-    p.add_argument("--block-tol", dest="block_tol", type=float)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-
-
-def _opts_config(opts: FlowOptions) -> dict:
-    return {
-        "dt_init": opts.dt_init,
-        "dt_min": opts.dt_min,
-        "grad_tol": opts.grad_tol,
-        "drift_tol": opts.drift_tol,
-        "step_tol": opts.step_tol,
-        "max_time": opts.max_time,
-        "max_steps": opts.max_steps,
-        "constraint": opts.constraint,
-    }
-
-
-def _flow_summary(res) -> dict:
+def _flow_summary(res, limit) -> dict:
     return {
         "status": res.status,
         "steps": int(res.steps),
@@ -159,6 +107,18 @@ def _flow_summary(res) -> dict:
         "final_energy": float(res.final_energy),
         "final_grad_norm": float(res.final_grad_norm),
         "final_constraint": float(res.final_constraint),
+        "limit": serde.rep_to_json(limit),
+    }
+
+
+def _converged(res) -> int:
+    return OK if res.status == "converged" else NO_CONVERGE
+
+
+def _membership(xi) -> dict:
+    return {
+        "member": xi is not None,
+        "intertwiner": None if xi is None else serde.intertwiner_to_json(xi),
     }
 
 
@@ -168,79 +128,40 @@ def _flow_summary(res) -> dict:
 
 def _cmd_validate(args):
     report = validate_quiver(_load_quiver(args.quiver))
-    payload = _payload("validate", {}, {
-        "ok": report.ok,
-        "loop_free": report.loop_free,
-        "problems": list(report.problems),
-    })
-    _emit(payload, args.out)
-    return OK if report.ok else BAD_INPUT
+    result = {"ok": report.ok, "loop_free": report.loop_free,
+              "problems": list(report.problems)}
+    return {}, result, OK if report.ok else BAD_INPUT
 
 
 def _cmd_flow(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    opts = _flow_options(args, FlowOptions())
-    try:
-        res = flow(x, alpha, opts)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    opts = _given(args, FlowOptions(), _FLOW_FIELDS)
+    res = flow(x, alpha, opts)
     if args.csv:
         serde.write_text_atomic(args.csv, trajectory_csv(res))
-    result = _flow_summary(res)
-    result["limit"] = serde.rep_to_json(res.limit)
-    payload = _payload("flow", _opts_config(opts), result)
-    _emit(payload, args.out)
-    return OK if res.status == "converged" else NO_CONVERGE
-
-
-def _classify_tols(args) -> ClassifyTols:
-    changes = {}
-    for name in ("cluster_tol", "block_tol", "rank_tol", "grad_tol"):
-        v = getattr(args, name, None)
-        if v is not None:
-            changes[name] = float(v)
-    return dataclasses.replace(ClassifyTols(), **changes)
-
-
-def _tols_config(tols: ClassifyTols) -> dict:
-    return {
-        "cluster_tol": tols.cluster_tol,
-        "block_tol": tols.block_tol,
-        "rank_tol": tols.rank_tol,
-        "grad_tol": tols.grad_tol,
-    }
+    return _fields(opts, _FLOW_FIELDS), _flow_summary(res, res.limit), _converged(res)
 
 
 def _cmd_classify(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    tols = _classify_tols(args)
-    try:
-        profile = classify_critical(x, alpha, tols)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    payload = _payload("classify", _tols_config(tols), serde.profile_to_json(profile))
-    _emit(payload, args.out)
-    return OK
+    tols = _given(args, ClassifyTols(), _TOLS_FIELDS)
+    profile = classify_critical(x, alpha, tols)
+    return _fields(tols, _TOLS_FIELDS), serde.profile_to_json(profile), OK
 
 
 def _cmd_negslice(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    tols = _classify_tols(args)
-    try:
-        basis, profile = negative_slice_basis(x, alpha, tols)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    tols = _given(args, ClassifyTols(), _TOLS_FIELDS)
+    basis, profile = negative_slice_basis(x, alpha, tols)
     result = {
         "dim": len(basis),
         "basis": [serde.mats_to_json(b) for b in basis],
         "profile": serde.profile_to_json(profile),
     }
-    payload = _payload("negslice", _tols_config(tols), result)
-    _emit(payload, args.out)
-    return OK
+    return _fields(tols, _TOLS_FIELDS), result, OK
 
 
 def _cmd_hn(args):
@@ -250,46 +171,25 @@ def _cmd_hn(args):
         raise CliError(f"unknown filtration oracle {args.oracle!r}")
     try:
         hn = thin_hn_type(x, alpha, threshold=args.threshold)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         raise CliError(str(exc)) from exc
-    result = {
-        "filtration": [
-            {"dims": dims, "slope": f"{s.numerator}/{s.denominator}"}
-            for dims, s in hn
-        ]
-    }
-    payload = _payload("hn", {"oracle": "thin", "threshold": args.threshold}, result)
-    _emit(payload, args.out)
-    return OK
+    result = {"filtration": [{"dims": dims, "slope": f"{s.numerator}/{s.denominator}"}
+                             for dims, s in hn]}
+    return {"oracle": "thin", "threshold": args.threshold}, result, OK
 
 
 def _cmd_hecke(args):
     x1, x2 = _load_rep(args.rep1), _load_rep(args.rep2)
-    try:
-        xi = hecke_check(x1, x2, args.vertex, seed=_seed(args), tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    result = {
-        "member": xi is not None,
-        "intertwiner": None if xi is None else serde.intertwiner_to_json(xi),
-    }
-    payload = _payload("hecke", {"tol": args.tol, "seed": _seed(args)}, result)
-    _emit(payload, args.out)
-    return OK
+    xi = hecke_check(x1, x2, args.vertex, seed=_seed(args), tol=args.tol)
+    return {"tol": args.tol, "seed": _seed(args)}, _membership(xi), OK
 
 
 def _cmd_hecke_construct(args):
     x1, x2 = _load_rep(args.rep1), _load_rep(args.rep2)
-    try:
-        xi = hecke_check(x1, x2, args.vertex, seed=_seed(args), tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    xi = hecke_check(x1, x2, args.vertex, seed=_seed(args), tol=args.tol)
+    config = {"tol": args.tol, "seed": _seed(args)}
     if xi is None:
-        payload = _payload("hecke-construct",
-                           {"tol": args.tol, "seed": _seed(args)},
-                           {"member": False})
-        _emit(payload, args.out)
-        return NO_CONVERGE
+        return config, {"member": False}, NO_CONVERGE
     try:
         pair = hecke_to_flowline(x1, x2, xi, args.vertex)
     except ValueError as exc:
@@ -301,51 +201,28 @@ def _cmd_hecke_construct(args):
         "action_residual": float(pair.action_residual),
         "slice_residual": float(pair.slice_residual),
     }
-    payload = _payload("hecke-construct", {"tol": args.tol, "seed": _seed(args)}, result)
-    _emit(payload, args.out)
-    return OK
+    return config, result, OK
 
 
 def _cmd_project(args):
     x = _load_rep(args.rep)
-    opts = _flow_options(args, AFFINE_FLOW_DEFAULTS)
-    snap = args.snap
-    if snap not in (None, "auto"):
-        snap = float(snap)
+    opts = _given(args, AFFINE_FLOW_DEFAULTS, _FLOW_FIELDS)
+    snap = args.snap if args.snap in (None, "auto") else float(args.snap)
     limit, res = affine_project(x, opts, snap_tol=snap)
-    result = _flow_summary(res)
-    result["limit"] = serde.rep_to_json(limit)
-    payload = _payload("project", {"snap": args.snap}, result)
-    _emit(payload, args.out)
-    return OK if res.status == "converged" else NO_CONVERGE
+    return {"snap": args.snap}, _flow_summary(res, limit), _converged(res)
 
 
 def _cmd_lagrangian(args):
     x1, x2 = _load_rep(args.rep1), _load_rep(args.rep2)
-    try:
-        report = lagrangian_check(x1, x2, iso_tol=args.iso_tol, seed=_seed(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    result = {
-        "related": report.related,
-        "grad1": float(report.grad1),
-        "grad2": float(report.grad2),
-    }
-    payload = _payload("lagrangian", {"iso_tol": args.iso_tol, "seed": _seed(args)},
-                       result)
-    _emit(payload, args.out)
-    return OK
+    report = lagrangian_check(x1, x2, iso_tol=args.iso_tol, seed=_seed(args))
+    result = {"related": report.related, "grad1": float(report.grad1),
+              "grad2": float(report.grad2)}
+    return {"iso_tol": args.iso_tol, "seed": _seed(args)}, result, OK
 
 
 def _cmd_stratum(args):
-    x = _load_rep(args.rep)
-    try:
-        codim = stratum_codim(x, args.vertex)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    payload = _payload("stratum", {}, {"codim": int(codim)})
-    _emit(payload, args.out)
-    return OK
+    codim = stratum_codim(_load_rep(args.rep), args.vertex)
+    return {}, {"codim": int(codim)}, OK
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -356,54 +233,76 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def _cmd_handsaw_to_quiver(args):
-    try:
-        q, dims = handsaw_to_quiver(args.n, _parse_int_list(args.dims_v),
-                                    _parse_int_list(args.dims_w))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    result = {"quiver": serde.quiver_to_json(q), "dims": dims}
-    payload = _payload("handsaw-to-quiver", {}, result)
-    _emit(payload, args.out)
-    return OK
+    q, dims = handsaw_to_quiver(args.n, _parse_int_list(args.dims_v),
+                                _parse_int_list(args.dims_w))
+    return {}, {"quiver": serde.quiver_to_json(q), "dims": dims}, OK
 
 
 def _cmd_handsaw_adjoint(args):
-    x = _load_rep(args.rep)
-    try:
-        y = handsaw_adjoint(x)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    payload = _payload("handsaw-adjoint", {}, serde.rep_to_json(y))
-    _emit(payload, args.out)
-    return OK
+    return {}, serde.rep_to_json(handsaw_adjoint(_load_rep(args.rep))), OK
 
 
 def _cmd_handsaw_hecke(args):
     x1, x2 = _load_rep(args.rep1), _load_rep(args.rep2)
-    try:
-        xi = handsaw_hecke_check(x1, x2, args.vertex, seed=_seed(args), tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    result = {
-        "member": xi is not None,
-        "intertwiner": None if xi is None else serde.intertwiner_to_json(xi),
-    }
-    payload = _payload("handsaw-hecke", {"tol": args.tol, "seed": _seed(args)}, result)
-    _emit(payload, args.out)
-    return OK
+    xi = handsaw_hecke_check(x1, x2, args.vertex, seed=_seed(args), tol=args.tol)
+    return {"tol": args.tol, "seed": _seed(args)}, _membership(xi), OK
 
 
 def _cmd_selfcheck(args):
     report = run_selfcheck(_seed(args))
-    payload = _payload("selfcheck", {"seed": _seed(args)}, report)
-    _emit(payload, args.out)
-    return OK if report["ok"] else NO_CONVERGE
+    return {"seed": _seed(args)}, report, OK if report["ok"] else NO_CONVERGE
 
 
-def _add_seed(p) -> None:
-    # SUPPRESS keeps an absent per-command flag from clobbering the global one
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="RNG seed for this command")
+# ---------------------------------------------------------------------------
+# parser
+
+
+def _flags(names, **special) -> dict:
+    """One flag per field, a float unless ``special`` gives its settings."""
+    return {"--" + n.replace("_", "-"): special.get(n, {"type": float}) for n in names}
+
+
+_FLOW_FLAGS = _flags(_FLOW_FIELDS, max_steps={"type": int},
+                     constraint={"choices": ["auto", "doubled", "handsaw", "none"]})
+_TOLS_FLAGS = _flags(_TOLS_FIELDS)
+_TOL_FLAG = {"--tol": {"type": float, "default": 1e-9}}
+_REP_ALPHA = {"rep": {}, "alpha": {}}
+_PAIR_VERTEX = {"rep1": {}, "rep2": {}, "vertex": {}}
+
+# (path, help, handler, positionals, flags, takes --seed); a row without a
+# handler opens a group whose subcommands follow with the group's path prefixed
+_COMMANDS = [
+    ("validate", "structural checks on a quiver document", _cmd_validate,
+     {"quiver": {}}, {}, False),
+    ("flow", "run the downward energy flow", _cmd_flow,
+     {"rep": {}, "alpha": {"help": "weights file, 'canonical' or 'zero'"}},
+     {**_FLOW_FLAGS, "--csv": {"help": "write the sampled trajectory here"}}, False),
+    ("classify", "block structure of a critical point", _cmd_classify,
+     _REP_ALPHA, _TOLS_FLAGS, False),
+    ("negslice", "negative slice basis at a split critical point", _cmd_negslice,
+     _REP_ALPHA, _TOLS_FLAGS, False),
+    ("hn", "filtration type via the exact thin oracle", _cmd_hn, _REP_ALPHA,
+     {"--oracle": {"default": "thin"}, "--threshold": {"type": float, "default": 1e-12}},
+     False),
+    ("hecke", "pinned-intertwiner membership test", _cmd_hecke,
+     _PAIR_VERTEX, _TOL_FLAG, True),
+    ("hecke-construct", "build slice data from a membership witness", _cmd_hecke_construct,
+     _PAIR_VERTEX, _TOL_FLAG, True),
+    ("project", "zero-weight flow to the closed-orbit limit", _cmd_project, {"rep": {}},
+     {**_FLOW_FLAGS, "--snap": {"help": "'auto', a threshold, or omit for none"}}, False),
+    ("lagrangian", "compare the closed-orbit limits of two points", _cmd_lagrangian,
+     {"rep1": {}, "rep2": {}}, {"--iso-tol": {"type": float, "default": 1e-6}}, True),
+    ("stratum", "codimension data at a vertex", _cmd_stratum,
+     {"rep": {}, "vertex": {}}, {}, False),
+    ("handsaw", "chain-quiver commands", None, {}, {}, False),
+    ("handsaw to-quiver", "build the framed chain quiver", _cmd_handsaw_to_quiver,
+     {"n": {"type": int}, "dims_v": {}, "dims_w": {}}, {}, False),
+    ("handsaw adjoint", "reverse-and-conjugate transform", _cmd_handsaw_adjoint,
+     {"rep": {}}, {}, False),
+    ("handsaw hecke", "surjective membership via the adjoint route", _cmd_handsaw_hecke,
+     _PAIR_VERTEX, _TOL_FLAG, True),
+    ("selfcheck", "seeded end-to-end consistency battery", _cmd_selfcheck, {}, {}, True),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,123 +313,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed; defaults to $QUIVERFLOW_SEED or 0")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="structural checks on a quiver document")
-    p.add_argument("quiver")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("flow", help="run the downward energy flow")
-    p.add_argument("rep")
-    p.add_argument("alpha", help="weights file, 'canonical' or 'zero'")
-    _add_flow_flags(p)
-    p.add_argument("--csv", help="write the sampled trajectory here")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_flow)
-
-    p = sub.add_parser("classify", help="block structure of a critical point")
-    p.add_argument("rep")
-    p.add_argument("alpha")
-    _add_tols_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("negslice", help="negative slice basis at a split critical point")
-    p.add_argument("rep")
-    p.add_argument("alpha")
-    _add_tols_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_negslice)
-
-    p = sub.add_parser("hn", help="filtration type via the exact thin oracle")
-    p.add_argument("rep")
-    p.add_argument("alpha")
-    p.add_argument("--oracle", default="thin")
-    p.add_argument("--threshold", type=float, default=1e-12)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hn)
-
-    p = sub.add_parser("hecke", help="pinned-intertwiner membership test")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    p.add_argument("vertex")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_hecke)
-
-    p = sub.add_parser("hecke-construct",
-                       help="build slice data from a membership witness")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    p.add_argument("vertex")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_hecke_construct)
-
-    p = sub.add_parser("project", help="zero-weight flow to the closed-orbit limit")
-    p.add_argument("rep")
-    _add_flow_flags(p)
-    p.add_argument("--snap", help="'auto', a threshold, or omit for none")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("lagrangian", help="compare the closed-orbit limits of two points")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    p.add_argument("--iso-tol", dest="iso_tol", type=float, default=1e-6)
-    p.add_argument("--out")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_lagrangian)
-
-    p = sub.add_parser("stratum", help="codimension data at a vertex")
-    p.add_argument("rep")
-    p.add_argument("vertex")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_stratum)
-
-    hs = sub.add_parser("handsaw", help="chain-quiver commands")
-    hsub = hs.add_subparsers(dest="handsaw_command", required=True)
-
-    p = hsub.add_parser("to-quiver", help="build the framed chain quiver")
-    p.add_argument("n", type=int)
-    p.add_argument("dims_v")
-    p.add_argument("dims_w")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_handsaw_to_quiver)
-
-    p = hsub.add_parser("adjoint", help="reverse-and-conjugate transform")
-    p.add_argument("rep")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_handsaw_adjoint)
-
-    p = hsub.add_parser("hecke", help="surjective membership via the adjoint route")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    p.add_argument("vertex")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_handsaw_hecke)
-
-    p = sub.add_parser("selfcheck", help="seeded end-to-end consistency battery")
-    p.add_argument("--out")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_selfcheck)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, positionals, flags, seeded in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, help=help_text)
+        if handler is None:
+            groups[path] = p.add_subparsers(dest=f"{path}_command", required=True)
+            continue
+        for arg, settings in {**positionals, **flags}.items():
+            p.add_argument(arg, **settings)
+        p.add_argument("--out")
+        if seeded:
+            # SUPPRESS keeps an absent per-command flag from clobbering the global one
+            p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                           help="RNG seed for this command")
+        p.set_defaults(func=handler, name=path.replace(" ", "-"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        config, result, code = args.func(args)
+        payload = {
+            "command": args.name,
+            "config": config,
+            "result": result,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            serde.write_text_atomic(args.out, text)
+        else:
+            sys.stdout.write(text)
+    # an OSError here is an --out or --csv path that cannot be written
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

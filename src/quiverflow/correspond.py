@@ -79,7 +79,7 @@ def _xi_unknown_layout(q: Quiver, d1, d2, skip: str | None):
     return layout, pos
 
 
-def _xi_from_vec(layout, total, vec, q: Quiver, d1, d2, pinned: str | None):
+def _xi_from_vec(layout, vec, d1, d2, pinned: str | None):
     blocks = {}
     for v, pos, shape in layout:
         blocks[v] = vec[pos:pos + shape[0] * shape[1]].reshape(shape)
@@ -130,7 +130,7 @@ def _condition_matrix(x1: Representation, x2: Representation, pinned: str | None
         rhs = np.zeros(nrows, dtype=complex)
     for col in range(total):
         vec[col] = 1.0
-        blocks = _xi_from_vec(layout, total, vec, q, d1, d2, None)
+        blocks = _xi_from_vec(layout, vec, d1, d2, None)
         full = dict(zero_blocks)
         full.update(blocks)
         if pinned is not None:
@@ -144,7 +144,6 @@ def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 
     """Orthonormal basis of Hom(x1, x2); returns a list of per-vertex dicts."""
     if x1.quiver.edges != x2.quiver.edges:
         raise ValueError("intertwiners need a common quiver")
-    q = x1.quiver
     M, _, layout, total = _condition_matrix(x1, x2, pinned=None)
     if total == 0:
         return []
@@ -157,7 +156,7 @@ def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 
         null = Vh[rank:].conj().T
     basis = []
     for i in range(null.shape[1]):
-        basis.append(_xi_from_vec(layout, total, null[:, i], q, x1.dims, x2.dims, None))
+        basis.append(_xi_from_vec(layout, null[:, i], x1.dims, x2.dims, None))
     return basis
 
 
@@ -225,6 +224,8 @@ def hecke_check(x1: Representation, x2: Representation, k: str, seed: int = 0,
 
 def _pinned_membership(x1: Representation, x2: Representation, k: str,
                        seed: int, tol: float):
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     q = x1.quiver
     if x2.quiver.edges != q.edges:
         raise ValueError("hecke check needs a common quiver")
@@ -240,8 +241,8 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
         residual = float(np.linalg.norm(rhs))
         if residual > tol * scale:
             return None
-        blocks = _xi_from_vec(layout, total, np.zeros(0, dtype=complex),
-                              q, x1.dims, x2.dims, q.infinity)
+        blocks = _xi_from_vec(layout, np.zeros(0, dtype=complex),
+                              x1.dims, x2.dims, q.infinity)
         inj = all(_full_col_rank(blocks[v]) for v in q.vertices)
         return Intertwiner(blocks=blocks, residual=residual, space_dim=0,
                            normalized=True, injective=inj)
@@ -263,12 +264,12 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
     chosen = None
     injective = False
     for vec in tries:
-        blocks = _xi_from_vec(layout, total, vec, q, x1.dims, x2.dims, q.infinity)
+        blocks = _xi_from_vec(layout, vec, x1.dims, x2.dims, q.infinity)
         if all(_full_col_rank(blocks[v]) for v in q.vertices):
             chosen, injective = blocks, True
             break
     if chosen is None:
-        chosen = _xi_from_vec(layout, total, part, q, x1.dims, x2.dims, q.infinity)
+        chosen = _xi_from_vec(layout, part, x1.dims, x2.dims, q.infinity)
     residual = _intertwine_residual(q, x1, x2, chosen)
     return Intertwiner(blocks=chosen, residual=residual,
                        space_dim=int(null.shape[1]), normalized=True,
@@ -408,6 +409,8 @@ def affine_project(x: Representation, opts: FlowOptions | None = None,
 
     Returns (representation, flow result).
     """
+    if snap_tol not in (None, "auto") and not (np.isfinite(snap_tol) and snap_tol >= 0):
+        raise ValueError(f"snap_tol must be 'auto' or finite and nonnegative, got {snap_tol!r}")
     zero_alpha = {v: 0 for v in x.quiver.vertices}
     result = flow(x, zero_alpha, opts or AFFINE_FLOW_DEFAULTS)
     limit = result.limit
@@ -437,6 +440,8 @@ def lagrangian_check(x1: Representation, x2: Representation,
     whose dimensions are the sum; the first factor occupies the leading block."""
     if x1.quiver.edges != x2.quiver.edges:
         raise ValueError("lagrangian check needs a common quiver")
+    if not (np.isfinite(iso_tol) and iso_tol > 0):
+        raise ValueError(f"iso_tol must be finite and positive, got {iso_tol!r}")
     q = x1.quiver
     p1, r1 = affine_project(x1, opts, snap_tol="auto")
     p2, r2 = affine_project(x2, opts, snap_tol="auto")
@@ -539,12 +544,7 @@ def handsaw_hecke_check(x1: Representation, x2: Representation, k: str,
         return None
     q = x1.quiver
     blocks = {v: std.blocks[v].conj().T for v in q.vertices}
-    residual = 0.0
-    for e in range(q.nedges):
-        h, t = q.head(e), q.tail(e)
-        r = blocks[h] @ x2.mats[e] - x1.mats[e] @ blocks[t]
-        residual += float(np.sum(np.abs(r) ** 2))
-    residual = float(np.sqrt(residual))
+    residual = _intertwine_residual(q, x2, x1, blocks)
     surj = all(_full_row_rank(blocks[v]) for v in q.vertices)
     return Intertwiner(blocks=blocks, residual=residual, space_dim=std.space_dim,
                        normalized=True, surjective=surj)

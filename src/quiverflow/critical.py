@@ -39,6 +39,14 @@ class ClassifyTols:
     grad_tol: float = 1e-8
     grad_factor: float = 10.0
 
+    def __post_init__(self):
+        # a NaN cluster gap splits every block and a nonpositive rank_tol falls
+        # back to a fixed floor, so both would be misreported further on
+        for name in ("cluster_tol", "block_tol", "rank_tol", "grad_tol", "grad_factor"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
 
 @dataclass
 class CriticalProfile:
@@ -74,10 +82,12 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
 def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None) -> CriticalProfile:
     """Split a numerically critical point into its eigenvalue blocks."""
     tols = tols or ClassifyTols()
-    g = mats_norm(grad_energy(x, alpha))
-    if g >= tols.grad_factor * tols.grad_tol:
-        raise ValueError(f"not critical: gradient norm {g:.3e} exceeds "
-                         f"{tols.grad_factor * tols.grad_tol:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = mats_norm(grad_energy(x, alpha))
+    bound = tols.grad_factor * tols.grad_tol
+    # written so that a NaN gradient norm is rejected too
+    if not g < bound:
+        raise ValueError(f"not critical: gradient norm {g:.3e} exceeds {bound:.3e}")
     q = x.quiver
     herm = []
     for u in moment_minus_alpha(x, alpha):

@@ -132,8 +132,11 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     steps = 0
     dt = float(opts.dt_init)
     run = 0
-    E = energy(x, alpha)
-    g = mats_norm(grad_energy(x, alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = energy(x, alpha)
+        g = mats_norm(grad_energy(x, alpha))
+    if not (np.isfinite(E) and np.isfinite(g)):
+        raise ValueError(f"flow start has non-finite energy {E:.3e} or gradient norm {g:.3e}")
     c = constraint_norm(x, kind)
     samples = [(t, E, g, c)]
     status = None

@@ -100,11 +100,13 @@ def thin_hn_type(x: Representation, alpha, threshold: float = 1e-12):
     At each stage the subset of maximal slope, then maximal size, is split
     off and its vertices are deleted from the quotient.  ``threshold`` is
     the magnitude above which an edge counts as acting; it must be finite and
-    nonnegative.
+    nonnegative.  ``alpha`` weights exactly the vertices of x.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
     support = _thin_support(x)
+    if set(alpha) != set(x.dims):
+        raise ValueError("weight keys must match dimension-vector keys")
     pairs = _edge_pairs(x, threshold)
     alive = set(support)
     out = []

@@ -216,6 +216,32 @@ def test_project_flow_flags_apply_on_affine_defaults(tmp_path):
     assert steps("--step-tol", "1e-6") < base
 
 
+@pytest.mark.parametrize("args, expected", [
+    (["project", "{jordan}", "--constraint", "handsaw"], "handsaw"),
+    (["project", "{jordan}", "--snap", "abc"], "abc"),
+    (["classify", "{crit}", "canonical", "--cluster-tol", "nan"], "cluster_tol"),
+    (["classify", "{crit}", "canonical", "--grad-tol", "inf"], "grad_tol"),
+    (["negslice", "{crit}", "canonical", "--rank-tol", "-1"], "rank_tol"),
+    (["flow", "{huge}", "canonical"], "non-finite"),
+    (["classify", "{huge}", "canonical"], "not critical"),
+    (["hn", "{rep}", "{partial}"], "weight keys"),
+    (["hecke", "{small}", "{member}", "1", "--tol", "nan"], "tol"),
+    (["project", "{jordan}", "--snap", "-1"], "snap_tol"),
+    (["lagrangian", "{jordan}", "{jordan}", "--iso-tol", "-1"], "iso_tol"),
+    (["flow", "{rep}", "canonical", "--out", "{dir}/missing/out.json"], "No such file"),
+])
+def test_bad_input_exits_2(f1_files, tmp_path, args, expected):
+    files = dict(f1_files,
+                 jordan=write_rep(tmp_path / "j.json", jordan_rep([[1.0, 1.0], [0.0, 2.0]])),
+                 huge=write_rep(tmp_path / "huge.json", framed_a1_rep(0.0, 1e200)),
+                 partial=write_json(tmp_path / "partial.json", {"weights": {"1": 1}}))
+    code, out, err = run_cli(*[a.format(**files) for a in args])
+    assert code == 2
+    assert out == ""
+    assert expected in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 def test_stratum_codim(f1_files):
     code, out, _ = run_cli("stratum", f1_files["crit"], "1")
     assert code == 0

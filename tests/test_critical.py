@@ -141,3 +141,11 @@ def test_stratum_codim_values():
                         np.array([[2.0], [0.0]], dtype=complex)])
     assert stratum_codim(y, "2") == 1
 
+
+@pytest.mark.parametrize("bad", [
+    {"cluster_tol": float("nan")}, {"cluster_tol": -1.0}, {"block_tol": 0.0},
+    {"rank_tol": -1.0}, {"grad_tol": float("inf")}, {"grad_factor": 0.0},
+])
+def test_classify_tols_reject_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ClassifyTols(**bad)
