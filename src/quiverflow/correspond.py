@@ -20,12 +20,11 @@ from .rep import (
     embed_rep,
     energy,
     direct_sum,
-    inf_action_adjoint,
-    d_moment_complex,
     ravel_real,
     rep_distance,
     group_act,
 )
+from .critical import slice_conditions
 from .flow import FlowOptions, flow
 
 
@@ -98,46 +97,36 @@ def _intertwine_residual(q: Quiver, x1: Representation, x2: Representation, bloc
 
 
 def _condition_matrix(x1: Representation, x2: Representation, pinned: str | None):
-    """Complex matrix of the intertwining conditions in the unknown blocks,
-    plus the constant column coming from a pinned identity block."""
+    """Complex matrix of the intertwining conditions xi_h A1 - A2 xi_t = 0 in
+    the unknown blocks, plus the constant column coming from a pinned identity
+    block.  Row-major, vec(xi A) = (1 kron A^T) vec(xi) and
+    vec(A xi) = (A kron 1) vec(xi)."""
     q = x1.quiver
     d1, d2 = x1.dims, x2.dims
-    layout, total = _xi_unknown_layout(q, d1, d2, pinned)
-    nrows = sum(d2[q.head(e)] * d1[q.tail(e)] for e in range(q.nedges))
-    M = np.zeros((nrows, total), dtype=complex)
-    vec = np.zeros(total, dtype=complex)
-
-    def conditions(blocks):
-        rows = []
-        for e in range(q.nedges):
-            h, t = q.head(e), q.tail(e)
-            bh = blocks.get(h)
-            bt = blocks.get(t)
-            r = np.zeros((d2[h], d1[t]), dtype=complex)
-            if bh is not None:
-                r = r + bh @ x1.mats[e]
-            if bt is not None:
-                r = r - x2.mats[e] @ bt
-            rows.append(r.ravel())
-        return np.concatenate(rows) if rows else np.zeros(0, dtype=complex)
-
-    zero_blocks = {v: np.zeros((d2[v], d1[v]), dtype=complex) for v in x1.quiver.vertices}
+    layout, total = _xi_unknown_layout(q, d1, d2, None)
+    cols = {v: slice(pos, pos + shape[0] * shape[1]) for v, pos, shape in layout}
+    rows = np.cumsum([0] + [d2[q.head(e)] * d1[q.tail(e)] for e in range(q.nedges)])
+    M = np.zeros((rows[-1], total), dtype=complex)
+    for e in range(q.nedges):
+        h, t = q.head(e), q.tail(e)
+        r = slice(rows[e], rows[e + 1])
+        M[r, cols[h]] += np.kron(np.eye(d2[h]), x1.mats[e].T)
+        M[r, cols[t]] -= np.kron(x2.mats[e], np.eye(d1[t]))
+    rhs = np.zeros(rows[-1], dtype=complex)
     if pinned is not None:
-        base = dict(zero_blocks)
-        base[pinned] = np.eye(d2[pinned], d1[pinned], dtype=complex)
-        rhs = conditions(base)
-    else:
-        rhs = np.zeros(nrows, dtype=complex)
-    for col in range(total):
-        vec[col] = 1.0
-        blocks = _xi_from_vec(layout, vec, d1, d2, None)
-        full = dict(zero_blocks)
-        full.update(blocks)
-        if pinned is not None:
-            full[pinned] = np.zeros((d2[pinned], d1[pinned]), dtype=complex)
-        M[:, col] = conditions(full)
-        vec[col] = 0.0
+        rhs = M[:, cols[pinned]] @ np.eye(d2[pinned], d1[pinned]).ravel()
+        M = np.delete(M, cols[pinned], axis=1)
+    layout, total = _xi_unknown_layout(q, d1, d2, pinned)
     return M, rhs, layout, total
+
+
+def _null_space(M: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of M; singular values
+    up to max(rank_tol * max(smax, 1), 1e-13) count as zero."""
+    _, s, Vh = np.linalg.svd(M)
+    smax = s[0] if len(s) else 0.0
+    rank = int(np.sum(s > max(rank_tol * max(smax, 1.0), 1e-13)))
+    return Vh[rank:].conj().T
 
 
 def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 1e-9):
@@ -147,17 +136,9 @@ def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 
     M, _, layout, total = _condition_matrix(x1, x2, pinned=None)
     if total == 0:
         return []
-    if M.shape[0] == 0:
-        null = np.eye(total, dtype=complex)
-    else:
-        _, s, Vh = np.linalg.svd(M)
-        smax = s[0] if len(s) else 0.0
-        rank = int(np.sum(s > max(rank_tol * max(smax, 1.0), 1e-13)))
-        null = Vh[rank:].conj().T
-    basis = []
-    for i in range(null.shape[1]):
-        basis.append(_xi_from_vec(layout, null[:, i], x1.dims, x2.dims, None))
-    return basis
+    null = _null_space(M, rank_tol)
+    return [_xi_from_vec(layout, null[:, i], x1.dims, x2.dims, None)
+            for i in range(null.shape[1])]
 
 
 def is_isomorphic(x1: Representation, x2: Representation, seed: int = 0,
@@ -250,10 +231,7 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
     residual = float(np.linalg.norm(M @ part + rhs))
     if residual > tol * scale:
         return None
-    _, s, Vh = np.linalg.svd(M)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > max(1e-9 * max(smax, 1.0), 1e-13)))
-    null = Vh[rank:].conj().T
+    null = _null_space(M, 1e-9)
     rng = np.random.default_rng(seed)
     tries = [part]
     for _ in range(8):
@@ -373,10 +351,7 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
     moved = group_act(g, start)
     action_residual = rep_distance(moved, x2)
 
-    slice_rows = [ravel_real(inf_action_adjoint(x1_hat, delta, flavor="full"))]
-    if q.pairing is not None:
-        slice_rows.append(ravel_real(d_moment_complex(x1_hat, delta)))
-    slice_residual = float(np.linalg.norm(np.concatenate(slice_rows)))
+    slice_residual = float(np.linalg.norm(ravel_real(slice_conditions(x1_hat, delta))))
     if action_residual > 1e-6 * (1.0 + x2.norm()):
         raise ValueError(f"flow-line reconstruction failed ({action_residual:.3e})")
     return FlowLinePair(x1=x1, x2=x2, delta=delta, g=g,

@@ -22,10 +22,10 @@ from .rep import (
     hessian_matrix,
     inf_action_adjoint,
     mats_norm,
+    matrix_of,
     moment_complex,
     moment_minus_alpha,
     mult_i,
-    ravel_real,
     slope_float,
     unravel_real,
 )
@@ -220,6 +220,16 @@ def _check_negative_vectors(x, alpha, profile: CriticalProfile, lam, tangents, t
 # negative slices
 
 
+def slice_conditions(x: Representation, delta):
+    """The conditions cutting the negative slice at x out of the tangent
+    directions delta: the full-flavour adjoint kernel and, on doubled
+    quivers, the complex moment-map derivative.  Batch-safe in delta."""
+    rows = inf_action_adjoint(x, delta, flavor="full")
+    if x.quiver.pairing is not None:
+        rows += d_moment_complex(x, delta)
+    return rows
+
+
 def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = None):
     """Orthonormal basis of the negative slice at a two-block critical point.
 
@@ -261,31 +271,16 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
     if np.sqrt(leak) > tols.block_tol * (1.0 + x.norm()):
         raise ValueError("not a C0 critical point: complement block is nonzero")
 
-    coeff_shapes = []
-    for e in range(q.nedges):
-        coeff_shapes.append((P1[q.head(e)].shape[1], P2[q.tail(e)].shape[1]))
+    coeff_shapes = [(P1[q.head(e)].shape[1], P2[q.tail(e)].shape[1]) for e in range(q.nedges)]
     m = 2 * sum(s[0] * s[1] for s in coeff_shapes)
     if m == 0:
         profile.neg_slice_dim = 0
         return [], profile
 
-    def to_tangent(cvec):
-        C = unravel_real(cvec, coeff_shapes)
+    def to_tangent(C):
         return [P1[q.head(e)] @ C[e] @ P2[q.tail(e)].conj().T for e in range(q.nedges)]
 
-    def constraints(delta):
-        rows = [ravel_real(inf_action_adjoint(x, delta, flavor="full"))]
-        if q.pairing is not None:
-            rows.append(ravel_real(d_moment_complex(x, delta)))
-        return np.concatenate(rows)
-
-    probe = constraints(to_tangent(np.zeros(m)))
-    A = np.zeros((len(probe), m))
-    unit = np.zeros(m)
-    for col in range(m):
-        unit[col] = 1.0
-        A[:, col] = constraints(to_tangent(unit))
-        unit[col] = 0.0
+    A = matrix_of(lambda C: slice_conditions(x, to_tangent(C)), coeff_shapes)
     if A.size:
         _, s, Vt = np.linalg.svd(A)
         smax = s[0] if len(s) else 0.0
@@ -293,7 +288,7 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
                 if i >= len(s) or s[i] <= max(tols.rank_tol * max(smax, 1.0), 1e-12)]
     else:
         null = [np.eye(m)[i] for i in range(m)]
-    basis = [to_tangent(vec) for vec in null]
+    basis = [to_tangent(unravel_real(vec, coeff_shapes)) for vec in null]
     for delta in basis:
         drift = mats_norm(moment_complex(add_tangent(x, delta))) if q.pairing else 0.0
         if drift > 1e-9 * (1.0 + x.norm()) ** 2:

@@ -22,11 +22,11 @@ from .rep import (
 )
 
 
-def fd_gradient(x: Representation, alpha, h: float = 1e-5):
-    """Central-difference gradient of the energy in real coordinates."""
+def _central_differences(x: Representation, f, h: float, out: np.ndarray) -> np.ndarray:
+    """Fill out[..., i] with (f(x + h e_i) - f(x - h e_i)) / 2h over the real
+    coordinates of x."""
     shapes = edge_shapes(x.quiver, x.dims)
     base = ravel_real(x.mats)
-    out = np.zeros_like(base)
     for i in range(len(base)):
         up = base.copy()
         dn = base.copy()
@@ -34,26 +34,22 @@ def fd_gradient(x: Representation, alpha, h: float = 1e-5):
         dn[i] -= h
         xu = Representation(x.quiver, dict(x.dims), unravel_real(up, shapes))
         xd = Representation(x.quiver, dict(x.dims), unravel_real(dn, shapes))
-        out[i] = (energy(xu, alpha) - energy(xd, alpha)) / (2.0 * h)
-    return unravel_real(out, shapes)
+        out[..., i] = (f(xu) - f(xd)) / (2.0 * h)
+    return out
+
+
+def fd_gradient(x: Representation, alpha, h: float = 1e-5):
+    """Central-difference gradient of the energy in real coordinates."""
+    n = len(ravel_real(x.mats))
+    out = _central_differences(x, lambda y: energy(y, alpha), h, np.zeros(n))
+    return unravel_real(out, edge_shapes(x.quiver, x.dims))
 
 
 def fd_hessian(x: Representation, alpha, h: float = 1e-4) -> np.ndarray:
     """Central-difference Jacobian of the gradient; symmetric up to O(h^2)."""
-    shapes = edge_shapes(x.quiver, x.dims)
-    base = ravel_real(x.mats)
-    n = len(base)
-    out = np.zeros((n, n))
-    for i in range(n):
-        up = base.copy()
-        dn = base.copy()
-        up[i] += h
-        dn[i] -= h
-        xu = Representation(x.quiver, dict(x.dims), unravel_real(up, shapes))
-        xd = Representation(x.quiver, dict(x.dims), unravel_real(dn, shapes))
-        gu = ravel_real(grad_energy(xu, alpha))
-        gd = ravel_real(grad_energy(xd, alpha))
-        out[:, i] = (gu - gd) / (2.0 * h)
+    n = len(ravel_real(x.mats))
+    out = _central_differences(x, lambda y: ravel_real(grad_energy(y, alpha)), h,
+                               np.zeros((n, n)))
     return 0.5 * (out + out.T)
 
 

@@ -12,6 +12,15 @@ sum of Re tr(M N*), and the complex structure acts entrywise by i.
 The real moment map is (1/2i) sum_a [A_a, A_a*] assembled per vertex: edge a
 contributes (1/2i) A_a A_a* at its head and -(1/2i) A_a* A_a at its tail.
 A stability parameter alpha enters as the central element (i alpha_j id_j).
+
+Batches
+-------
+The real-linear kernels in the tangent data (``inf_action``,
+``inf_action_adjoint``, ``d_moment_complex``, ``hessian_apply``,
+``anti_hermitian_part``) and ``ravel_real``/``unravel_real`` accept tangent
+matrices with leading batch axes, shape (..., rows, cols); the base point
+stays unbatched.  The matrix of such a map is then one call on the identity
+batch of real coordinates instead of one call per unit vector.
 """
 from __future__ import annotations
 
@@ -97,24 +106,42 @@ def random_mats(shapes, rng: np.random.Generator, scale: float = 1.0) -> Mats:
 
 
 def ravel_real(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Flatten complex matrices into [re..., im...] blocks, one per matrix."""
+    """Flatten complex matrices into [re..., im...] blocks, one per matrix,
+    along the last axis; leading batch axes broadcast across the matrices."""
     if not mats:
         return np.zeros(0)
-    return np.concatenate([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+    batch = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    parts = []
+    for m in mats:
+        # the size is spelled out: reshape cannot infer -1 next to a size-0 axis
+        size = m.shape[-2] * m.shape[-1]
+        flat = np.broadcast_to(m, batch + m.shape[-2:]).reshape(batch + (size,))
+        parts += [flat.real, flat.imag]
+    return np.concatenate(parts, axis=-1)
 
 
 def unravel_real(vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> Mats:
+    """Inverse of ravel_real along the last axis of vec."""
+    batch = vec.shape[:-1]
     out = []
     pos = 0
     for s in shapes:
         n = s[0] * s[1]
-        re = vec[pos:pos + n].reshape(s)
-        im = vec[pos + n:pos + 2 * n].reshape(s)
+        re = vec[..., pos:pos + n].reshape(batch + tuple(s))
+        im = vec[..., pos + n:pos + 2 * n].reshape(batch + tuple(s))
         out.append(re + 1j * im)
         pos += 2 * n
-    if pos != len(vec):
+    if pos != vec.shape[-1]:
         raise ValueError("vector length does not match shapes")
     return out
+
+
+def matrix_of(apply, shapes: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Matrix of a real-linear map on tangent data of the given shapes, in
+    [re..., im...] coordinates: the map applied once to the identity batch."""
+    n = 2 * sum(s[0] * s[1] for s in shapes)
+    cols = ravel_real(apply(unravel_real(np.eye(n), shapes)))
+    return cols.T if cols.ndim == 2 else np.zeros((0, n))
 
 
 def pairing(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
@@ -142,8 +169,13 @@ def mult_i(a) -> Mats:
     return [1j * m for m in a]
 
 
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def anti_hermitian_part(a: Sequence[np.ndarray]) -> Mats:
-    return [(m - m.conj().T) / 2.0 for m in a]
+    return [(m - _adj(m)) / 2.0 for m in a]
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +208,16 @@ def group_act(g: Sequence[np.ndarray], x: Representation) -> Representation:
     return Representation(q, dict(x.dims), mats)
 
 
-def inf_action(x: Representation, u: Sequence[np.ndarray]) -> Mats:
-    """rho_x(u): edge a gets u_head A_a - A_a u_tail."""
-    q = x.quiver
-    vidx = {v: i for i, v in enumerate(q.vertices)}
-    return [u[vidx[q.head(e)]] @ x.mats[e] - x.mats[e] @ u[vidx[q.tail(e)]]
-            for e in range(q.nedges)]
-
-
-def inf_action_deriv(x: Representation, u: Sequence[np.ndarray], X: Mats) -> Mats:
-    """Derivative of rho in the base point: same bracket with X in place of x."""
-    q = x.quiver
+def _bracket(q: Quiver, u: Sequence[np.ndarray], X: Sequence[np.ndarray]) -> Mats:
+    """Edge a gets u_head X_a - X_a u_tail."""
     vidx = {v: i for i, v in enumerate(q.vertices)}
     return [u[vidx[q.head(e)]] @ X[e] - X[e] @ u[vidx[q.tail(e)]]
             for e in range(q.nedges)]
+
+
+def inf_action(x: Representation, u: Sequence[np.ndarray]) -> Mats:
+    """rho_x(u): edge a gets u_head A_a - A_a u_tail."""
+    return _bracket(x.quiver, u, x.mats)
 
 
 def inf_action_adjoint(x: Representation, X: Mats, flavor: str = "compact") -> Mats:
@@ -204,8 +232,9 @@ def inf_action_adjoint(x: Representation, X: Mats, flavor: str = "compact") -> M
     out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
     vidx = {v: i for i, v in enumerate(q.vertices)}
     for e in range(q.nedges):
-        out[vidx[q.head(e)]] += X[e] @ x.mats[e].conj().T
-        out[vidx[q.tail(e)]] -= x.mats[e].conj().T @ X[e]
+        h, t = vidx[q.head(e)], vidx[q.tail(e)]
+        out[h] = out[h] + X[e] @ x.mats[e].conj().T
+        out[t] = out[t] - x.mats[e].conj().T @ X[e]
     if flavor == "compact":
         out = anti_hermitian_part(out)
     return out
@@ -266,8 +295,9 @@ def d_moment_complex(x: Representation, X: Mats) -> Mats:
     for a, ab in pairs:
         A, B = x.mats[a], x.mats[ab]
         dA, dB = X[a], X[ab]
-        out[vidx[q.head(a)]] += dA @ B + A @ dB
-        out[vidx[q.tail(a)]] -= B @ dA + dB @ A
+        h, t = vidx[q.head(a)], vidx[q.tail(a)]
+        out[h] = out[h] + (dA @ B + A @ dB)
+        out[t] = out[t] - (B @ dA + dB @ A)
     return out
 
 
@@ -306,7 +336,7 @@ def grad_norm(x: Representation, alpha: Mapping) -> float:
 def hessian_apply(x: Representation, alpha: Mapping, X: Mats) -> Mats:
     """I drho(mu - alpha)(X) - I rho rho* I X, the second variation of the energy."""
     d = moment_minus_alpha(x, alpha)
-    first = mult_i(inf_action_deriv(x, d, X))
+    first = mult_i(_bracket(x.quiver, d, X))
     u = inf_action_adjoint(x, mult_i(X), flavor="compact")
     second = mult_i(inf_action(x, u))
     return mats_sub(first, second)
@@ -314,15 +344,7 @@ def hessian_apply(x: Representation, alpha: Mapping, X: Mats) -> Mats:
 
 def hessian_matrix(x: Representation, alpha: Mapping) -> np.ndarray:
     """The Hessian as a real symmetric matrix in [re..., im...] coordinates."""
-    shapes = edge_shapes(x.quiver, x.dims)
-    n = 2 * sum(s[0] * s[1] for s in shapes)
-    H = np.zeros((n, n))
-    basis = np.zeros(n)
-    for col in range(n):
-        basis[col] = 1.0
-        H[:, col] = ravel_real(hessian_apply(x, alpha, unravel_real(basis, shapes)))
-        basis[col] = 0.0
-    return H
+    return matrix_of(lambda X: hessian_apply(x, alpha, X), edge_shapes(x.quiver, x.dims))
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,13 @@ def test_selfcheck_deterministic(tmp_path):
     assert sum("timestamp" in ln for ln in p1.read_text().splitlines()) == 1
 
 
+def test_selfcheck_seed_3_finishes():
+    # its flow-monotonicity check used to run for more than five minutes
+    code, out, _ = run_cli("selfcheck", "--seed", "3", timeout=60)
+    assert code == 0
+    assert json.loads(out)["result"]["ok"] is True
+
+
 def test_seed_sources(f1_files):
     # explicit flag wins, then the environment variable, then zero
     code, out, _ = run_cli("hecke", f1_files["small"], f1_files["member"], "1",

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from quiverflow.correspond import (
+    _condition_matrix,
+    _xi_from_vec,
     affine_project,
     flowline_to_hecke,
     handsaw_adjoint,
@@ -25,7 +27,7 @@ from quiverflow.fixtures import (
     hs3,
     jordan_rep,
 )
-from quiverflow.quiver import canonical_stability
+from quiverflow.quiver import Quiver, canonical_stability
 from quiverflow.rep import (
     Representation,
     add_tangent,
@@ -34,6 +36,24 @@ from quiverflow.rep import (
     random_rep,
     rep_distance,
 )
+
+
+@pytest.mark.parametrize("pinned", [None, "inf"])
+def test_condition_matrix_reproduces_residual(pinned):
+    q = Quiver(vertices=("1", "2", "inf"),
+               edges=(("1", "1"), ("inf", "1"), ("1", "2"), ("2", "1"), ("2", "inf")),
+               infinity="inf")
+    d1, d2 = {"1": 2, "2": 1, "inf": 1}, {"1": 3, "2": 1, "inf": 1}
+    rng = np.random.default_rng(4)
+    x1, x2 = random_rep(q, d1, rng), random_rep(q, d2, rng)
+    M, rhs, layout, total = _condition_matrix(x1, x2, pinned)
+    assert M.shape == (len(rhs), total)
+    for _ in range(3):
+        vec = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        xi = _xi_from_vec(layout, vec, d1, d2, pinned)
+        want = np.concatenate([(xi[q.head(e)] @ x1.mats[e] - x2.mats[e] @ xi[q.tail(e)]).ravel()
+                               for e in range(q.nedges)])
+        np.testing.assert_allclose(M @ vec + rhs, want, rtol=0, atol=1e-12)
 
 
 def test_intertwiner_space_dims():

@@ -17,7 +17,7 @@ from quiverflow.fixtures import (
     framed_a1w2_critical,
 )
 from quiverflow.flow import FlowOptions, flow
-from quiverflow.quiver import Quiver, canonical_stability
+from quiverflow.quiver import Quiver, canonical_stability, crawley_boevey_frame, double_quiver
 from quiverflow.rep import (
     Representation,
     add_tangent,
@@ -99,6 +99,22 @@ def test_negative_slice_at_w2_critical():
     E0 = energy(x, alpha)
     for vec in basis:
         assert energy(add_tangent(x, mats_scale(1e-3, vec)), alpha) < E0
+
+
+def test_negative_slice_with_isolated_vertex():
+    # the unframed vertex z touches no edge, so its slice conditions stay
+    # unbatched while the others carry the identity batch
+    q = double_quiver(crawley_boevey_frame(Quiver(vertices=("1", "z"), edges=()),
+                                           {"1": 2, "z": 0}))
+    dims = {"1": 2, "z": 0, "inf": 1}
+    mats = [np.zeros((dims[q.head(e)], dims[q.tail(e)]), dtype=complex)
+            for e in range(q.nedges)]
+    for e in range(q.nedges):
+        if q.tail(e) == "1":
+            mats[e][0, 0] = np.sqrt(1.5)
+    x = Representation(q, dims, mats)
+    basis, _ = negative_slice_basis(x, canonical_stability(q, dims))
+    assert len(basis) == 2
 
 
 def test_negative_slice_at_f1_saddle():

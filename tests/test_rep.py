@@ -13,6 +13,7 @@ from quiverflow.fixtures import (
     random_plain,
 )
 from quiverflow.oracles import fd_gradient, fd_hessian
+from quiverflow.quiver import Quiver
 from quiverflow.rep import (
     Representation,
     add_tangent,
@@ -20,11 +21,13 @@ from quiverflow.rep import (
     d_moment_complex,
     d_moment_real,
     direct_sum,
+    edge_shapes,
     embed_rep,
     energy,
     grad_energy,
     grad_norm,
     group_act,
+    hessian_apply,
     hessian_matrix,
     inf_action,
     inf_action_adjoint,
@@ -35,6 +38,7 @@ from quiverflow.rep import (
     mult_i,
     pairing,
     random_mats,
+    random_rep,
     ravel_real,
     restrict_rep,
     unravel_real,
@@ -88,6 +92,48 @@ def test_ravel_round_trip():
     back = unravel_real(ravel_real(mats), shapes)
     for m, b in zip(mats, back):
         assert_allclose(m, b)
+
+
+def test_ravel_round_trip_batch_axes():
+    rng = np.random.default_rng(1)
+    shapes = [(2, 3), (1, 1), (0, 2)]
+    mats = [m.reshape(4, 5, *s) for m, s in
+            zip(random_mats([(20 * s[0], s[1]) for s in shapes], rng), shapes)]
+    flat = ravel_real(mats)
+    assert flat.shape == (4, 5, 14)
+    assert_allclose(flat[3, 2], ravel_real([m[3, 2] for m in mats]))
+    for m, b in zip(mats, unravel_real(flat, shapes)):
+        assert_allclose(m, b)
+    # an unbatched matrix broadcasts against the batched ones
+    mixed = ravel_real([mats[0], mats[1][0, 0]])
+    assert_allclose(mixed[3, 2], ravel_real([mats[0][3, 2], mats[1][0, 0]]))
+
+
+def _loop_multi_zero_quiver():
+    """A loop, a double edge and a zero-dimensional vertex."""
+    q = Quiver(vertices=("a", "b", "c", "z"),
+               edges=(("a", "a"), ("a", "b"), ("a", "b"), ("b", "c"), ("c", "z"), ("z", "a")))
+    return q, {"a": 2, "b": 1, "c": 2, "z": 0}
+
+
+def test_hessian_matrix_matches_columnwise_apply():
+    q, dims = _loop_multi_zero_quiver()
+    x = random_rep(q, dims, np.random.default_rng(2))
+    alpha = {"a": 2, "b": 0, "c": -1, "z": -1}
+    shapes = edge_shapes(q, dims)
+    n = 2 * sum(h * t for h, t in shapes)
+    cols = [ravel_real(hessian_apply(x, alpha, unravel_real(e, shapes))) for e in np.eye(n)]
+    # the batched path does the same arithmetic per column, so it must agree exactly
+    np.testing.assert_array_equal(hessian_matrix(x, alpha), np.array(cols).T)
+
+
+def test_hessian_matrix_without_coordinates():
+    q, _ = _loop_multi_zero_quiver()
+    x = Representation.zero(q, {"a": 0, "b": 2, "c": 0, "z": 0})
+    assert hessian_matrix(x, {"a": 1, "b": 0, "c": 0, "z": -1}).shape == (0, 0)
+    bare = Quiver(vertices=("a", "b"), edges=())
+    x = Representation.zero(bare, {"a": 1, "b": 2})
+    assert hessian_matrix(x, {"a": 1, "b": -1}).shape == (0, 0)
 
 
 def test_gradient_matches_finite_differences():
