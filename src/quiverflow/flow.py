@@ -7,6 +7,17 @@ two-half-steps discrepancy stays below step_tol.  The half-step composition
 is what gets propagated.  Rejection halves dt; five consecutive accepts grow
 it by 1.5x, capped at dt_init.  No projection back onto the constraint set
 is performed: drift is monitored and reported.
+
+The step loop works on bare lists of edge matrices.  The gradient at the
+current state is computed once, when the state is accepted, and serves as
+the first slope of the full step, of the first half-step and of every retry
+after a rejection (a rejection leaves the state unchanged): 10 new gradient
+evaluations per attempt.  Stage points are not validated as
+Representations: their shapes are fixed by construction, and a stage that
+overflows leaves inf/NaN in the full or the two-half-step result (an inf
+entry of A reaches the diagonal of A A*, and from there every later stage),
+so the error estimate is then inf/NaN and the attempt is rejected.  Only
+the input copy and the limit are validated.
 """
 from __future__ import annotations
 
@@ -19,9 +30,7 @@ from .rep import (
     Representation,
     energy,
     grad_energy,
-    mats_add,
     mats_norm,
-    mats_scale,
     moment_complex,
 )
 
@@ -94,29 +103,22 @@ def constraint_norm(x: Representation, kind: str) -> float:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _rk4(x: Representation, alpha, dt: float) -> list[np.ndarray] | None:
-    """One classical 4th-order step; None when a stage overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            k1 = mats_scale(-1.0, grad_energy(x, alpha))
-            x2 = Representation(x.quiver, x.dims,
-                                mats_add(x.mats, mats_scale(dt / 2.0, k1)))
-            k2 = mats_scale(-1.0, grad_energy(x2, alpha))
-            x3 = Representation(x.quiver, x.dims,
-                                mats_add(x.mats, mats_scale(dt / 2.0, k2)))
-            k3 = mats_scale(-1.0, grad_energy(x3, alpha))
-            x4 = Representation(x.quiver, x.dims,
-                                mats_add(x.mats, mats_scale(dt, k3)))
-            k4 = mats_scale(-1.0, grad_energy(x4, alpha))
-        except ValueError:
-            return None
-    incr = [
-        (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)
-    ]
-    out = mats_add(x.mats, incr)
-    if any(m.size and not np.all(np.isfinite(m)) for m in out):
-        return None
-    return out
+def _at(x0: Representation, mats: list[np.ndarray]) -> Representation:
+    """Stage matrices as a Representation over x0's quiver and dims, skipping
+    __post_init__: their shapes are fixed by construction, and the step-error
+    test rejects an attempt with a non-finite stage."""
+    x = object.__new__(Representation)
+    x.quiver, x.dims, x.mats = x0.quiver, x0.dims, mats
+    return x
+
+
+def _rk4(field, mats: list[np.ndarray], k1: list[np.ndarray], dt: float) -> list[np.ndarray]:
+    """One classical 4th-order step from mats, where the slope is k1."""
+    k2 = field([m + (dt / 2.0) * k for m, k in zip(mats, k1)])
+    k3 = field([m + (dt / 2.0) * k for m, k in zip(mats, k2)])
+    k4 = field([m + dt * k for m, k in zip(mats, k3)])
+    return [m + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for m, a, b, c, d in zip(mats, k1, k2, k3, k4)]
 
 
 def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResult:
@@ -126,18 +128,24 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         if m.size and not np.all(np.isfinite(m)):
             raise ValueError("flow input has non-finite entries")
     kind = resolve_constraint(x0.quiver, opts.constraint)
+    start = x0.copy()
 
-    x = x0.copy()
+    def field(mats):
+        return [-1.0 * g for g in grad_energy(_at(start, mats), alpha)]
+
+    x = start.mats
     t = 0.0
     steps = 0
     dt = float(opts.dt_init)
     run = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        E = energy(x, alpha)
-        g = mats_norm(grad_energy(x, alpha))
+        E = energy(start, alpha)
+        k1 = field(x)
+        g = mats_norm(k1)
     if not (np.isfinite(E) and np.isfinite(g)):
         raise ValueError(f"flow start has non-finite energy {E:.3e} or gradient norm {g:.3e}")
-    c = constraint_norm(x, kind)
+    c = constraint_norm(start, kind)
+    scale = mats_norm(x)
     samples = [(t, E, g, c)]
     status = None
 
@@ -151,29 +159,25 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         if t >= opts.max_time:
             status = "max_time"
             break
-        full_mats = _rk4(x, alpha, dt)
-        mid_mats = _rk4(x, alpha, dt / 2.0)
-        trial_mats = None
-        if full_mats is not None and mid_mats is not None:
-            mid = Representation(x.quiver, x.dims, mid_mats)
-            trial_mats = _rk4(mid, alpha, dt / 2.0)
-        ok = trial_mats is not None
-        if ok:
-            with np.errstate(over="ignore"):
-                est = float(
-                    np.sqrt(sum(np.sum(np.abs(a - b) ** 2)
-                                for a, b in zip(full_mats, trial_mats)))
-                )
-            ok = est <= opts.step_tol * (1.0 + mats_norm(x.mats))
-        if ok:
-            trial = Representation(x.quiver, x.dims, trial_mats)
-            E_t = energy(trial, alpha)
-            c_t = constraint_norm(trial, kind)
-            # the constraint increment gets a roundoff floor so shrinking dt
-            # cannot make the bound unsatisfiable; the floor keeps cumulative
-            # drift below 1e-8 * scale across the step budget
-            drift_cap = opts.drift_tol * dt + 1e-14 * (1.0 + mats_norm(x.mats) ** 2)
-            ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and (c_t - c <= drift_cap)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _rk4(field, x, k1, dt)
+            mid = _rk4(field, x, k1, dt / 2.0)
+            trial = _rk4(field, mid, field(mid), dt / 2.0)
+            # an overflowing stage leaves inf/NaN in full or trial (mid feeds
+            # trial), so est is inf/NaN and fails the comparison
+            est = mats_norm([a - b for a, b in zip(full, trial)])
+            ok = est <= opts.step_tol * (1.0 + scale)
+            if ok:
+                at_trial = _at(start, trial)
+                E_t = energy(at_trial, alpha)
+                c_t = constraint_norm(at_trial, kind)
+                # the constraint increment gets a roundoff floor so shrinking dt
+                # cannot make the bound unsatisfiable; the floor keeps cumulative
+                # drift below 1e-8 * scale across the step budget
+                drift_cap = opts.drift_tol * dt + 1e-14 * (1.0 + scale ** 2)
+                ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and (c_t - c <= drift_cap)
+            if ok:
+                k1 = field(trial)
         if ok:
             x, E, c = trial, E_t, c_t
             t += dt
@@ -182,7 +186,8 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             if run >= 5:
                 dt = min(dt * 1.5, opts.dt_init)
                 run = 0
-            g = mats_norm(grad_energy(x, alpha))
+            g = mats_norm(k1)
+            scale = mats_norm(x)
             if steps % opts.sample_stride == 0:
                 samples.append((t, E, g, c))
         else:
@@ -195,7 +200,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     if samples[-1][0] != t or samples[-1][1] != E:
         samples.append((t, E, g, c))
     return FlowResult(
-        limit=x,
+        limit=Representation(start.quiver, start.dims, x),
         status=status,
         trajectory=np.array(samples, dtype=float),
         final_grad_norm=g,

@@ -6,7 +6,6 @@ truth for the numerical pipeline.
 """
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -107,8 +106,8 @@ def thin_hn_type(x: Representation, alpha, threshold: float = 1e-12):
     alive = set(support)
     out = []
     while alive:
+        # no tie at the max: A&B is closed, so closed A|B has max slope and is larger
         best = None
-        ties = 0
         for r in range(1, len(alive) + 1):
             for combo in combinations(sorted(alive), r):
                 if not _closed(frozenset(combo), pairs, frozenset(alive)):
@@ -116,14 +115,8 @@ def thin_hn_type(x: Representation, alpha, threshold: float = 1e-12):
                 key = (_slope(alpha, combo), r)
                 if best is None or key > best[0]:
                     best = (key, combo)
-                    ties = 1
-                elif key == best[0]:
-                    ties += 1
         if best is None:
             raise RuntimeError("no admissible subset found in a nonempty quotient")
-        if ties > 1:
-            warnings.warn("maximal destabilizing subobject is not unique; "
-                          "taking the lexicographically first", stacklevel=2)
         (slope, _), combo = best
         dims = {v: (1 if v in combo else 0) for v in x.quiver.vertices}
         out.append((dims, slope))

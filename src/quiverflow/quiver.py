@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 Weight = "int | float | Fraction"
@@ -47,6 +48,12 @@ class Quiver:
 
     def head(self, e: int) -> str:
         return self.edges[e][1]
+
+    @cached_property
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        """(tail, head) vertex positions of each edge, computed once."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        return tuple((pos[t], pos[h]) for t, h in self.edges)
 
     @property
     def nedges(self) -> int:

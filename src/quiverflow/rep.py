@@ -47,9 +47,8 @@ class Representation:
         if len(self.mats) != self.quiver.nedges:
             raise ValueError("matrix count does not match edge count")
         fixed = []
-        for e, m in enumerate(self.mats):
+        for e, (m, want) in enumerate(zip(self.mats, edge_shapes(self.quiver, self.dims))):
             m = np.asarray(m, dtype=complex)
-            want = (self.dims[self.quiver.head(e)], self.dims[self.quiver.tail(e)])
             if m.shape != want:
                 raise ValueError(f"edge {e} matrix has shape {m.shape}, expected {want}")
             if m.size and not np.all(np.isfinite(m)):
@@ -61,31 +60,23 @@ class Representation:
         return Representation(self.quiver, dict(self.dims), [m.copy() for m in self.mats])
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.mats)))
+        return mats_norm(self.mats)
 
     @classmethod
     def zero(cls, quiver: Quiver, dims: Mapping[str, int]) -> "Representation":
         dims = check_dims(quiver, dims)
-        mats = [
-            np.zeros((dims[quiver.head(e)], dims[quiver.tail(e)]), dtype=complex)
-            for e in range(quiver.nedges)
-        ]
+        mats = [np.zeros(s, dtype=complex) for s in edge_shapes(quiver, dims)]
         return cls(quiver, dict(dims), mats)
 
 
 def rep_distance(x: Representation, y: Representation) -> float:
-    return float(np.sqrt(sum(np.sum(np.abs(a - b) ** 2) for a, b in zip(x.mats, y.mats))))
+    return mats_norm([a - b for a, b in zip(x.mats, y.mats)])
 
 
 def random_rep(quiver: Quiver, dims: Mapping[str, int], rng: np.random.Generator,
                scale: float = 1.0) -> Representation:
     dims = check_dims(quiver, dims)
-    mats = []
-    for e in range(quiver.nedges):
-        shape = (dims[quiver.head(e)], dims[quiver.tail(e)])
-        mats.append(scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                    / np.sqrt(2.0))
-    return Representation(quiver, dict(dims), mats)
+    return Representation(quiver, dict(dims), random_mats(edge_shapes(quiver, dims), rng, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +144,6 @@ def mats_norm(a: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in a)))
 
 
-def mats_add(a, b) -> Mats:
-    return [m + n for m, n in zip(a, b)]
-
-
 def mats_sub(a, b) -> Mats:
     return [m - n for m, n in zip(a, b)]
 
@@ -200,19 +187,14 @@ def _inverses(g: Sequence[np.ndarray]) -> Mats:
 
 def group_act(g: Sequence[np.ndarray], x: Representation) -> Representation:
     """Change of basis: edge matrix becomes g_head . A . g_tail^{-1}."""
-    q = x.quiver
-    vidx = {v: i for i, v in enumerate(q.vertices)}
     ginv = _inverses(g)
-    mats = [g[vidx[q.head(e)]] @ x.mats[e] @ ginv[vidx[q.tail(e)]]
-            for e in range(q.nedges)]
-    return Representation(q, dict(x.dims), mats)
+    mats = [g[h] @ m @ ginv[t] for (t, h), m in zip(x.quiver.ends, x.mats)]
+    return Representation(x.quiver, dict(x.dims), mats)
 
 
 def _bracket(q: Quiver, u: Sequence[np.ndarray], X: Sequence[np.ndarray]) -> Mats:
     """Edge a gets u_head X_a - X_a u_tail."""
-    vidx = {v: i for i, v in enumerate(q.vertices)}
-    return [u[vidx[q.head(e)]] @ X[e] - X[e] @ u[vidx[q.tail(e)]]
-            for e in range(q.nedges)]
+    return [u[h] @ Xe - Xe @ u[t] for (t, h), Xe in zip(q.ends, X)]
 
 
 def inf_action(x: Representation, u: Sequence[np.ndarray]) -> Mats:
@@ -230,11 +212,9 @@ def inf_action_adjoint(x: Representation, X: Mats, flavor: str = "compact") -> M
         raise ValueError("flavor must be 'compact' or 'full'")
     q = x.quiver
     out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    vidx = {v: i for i, v in enumerate(q.vertices)}
-    for e in range(q.nedges):
-        h, t = vidx[q.head(e)], vidx[q.tail(e)]
-        out[h] = out[h] + X[e] @ x.mats[e].conj().T
-        out[t] = out[t] - x.mats[e].conj().T @ X[e]
+    for (t, h), m, Xe in zip(q.ends, x.mats, X):
+        out[h] = out[h] + Xe @ m.conj().T
+        out[t] = out[t] - m.conj().T @ Xe
     if flavor == "compact":
         out = anti_hermitian_part(out)
     return out
@@ -248,11 +228,9 @@ def moment_real(x: Representation) -> Mats:
     """Per-vertex assembly of (1/2i) sum_a [A_a, A_a*]; anti-Hermitian."""
     q = x.quiver
     out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    vidx = {v: i for i, v in enumerate(q.vertices)}
-    for e in range(q.nedges):
-        m = x.mats[e]
-        out[vidx[q.head(e)]] += m @ m.conj().T
-        out[vidx[q.tail(e)]] -= m.conj().T @ m
+    for (t, h), m in zip(q.ends, x.mats):
+        out[h] += m @ m.conj().T
+        out[t] -= m.conj().T @ m
     return [(1.0 / 2.0j) * u for u in out]
 
 
@@ -260,11 +238,9 @@ def d_moment_real(x: Representation, X: Mats) -> Mats:
     """Derivative of the real moment map at x in direction X."""
     q = x.quiver
     out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    vidx = {v: i for i, v in enumerate(q.vertices)}
-    for e in range(q.nedges):
-        m, dm = x.mats[e], X[e]
-        out[vidx[q.head(e)]] += dm @ m.conj().T + m @ dm.conj().T
-        out[vidx[q.tail(e)]] -= dm.conj().T @ m + m.conj().T @ dm
+    for (t, h), m, dm in zip(q.ends, x.mats, X):
+        out[h] += dm @ m.conj().T + m @ dm.conj().T
+        out[t] -= dm.conj().T @ m + m.conj().T @ dm
     return [(1.0 / 2.0j) * u for u in out]
 
 
@@ -279,11 +255,11 @@ def moment_complex(x: Representation) -> Mats:
     q = x.quiver
     pairs = _paired_edges(q)
     out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    vidx = {v: i for i, v in enumerate(q.vertices)}
     for a, ab in pairs:
         A, B = x.mats[a], x.mats[ab]
-        out[vidx[q.head(a)]] += A @ B
-        out[vidx[q.tail(a)]] -= B @ A
+        t, h = q.ends[a]
+        out[h] += A @ B
+        out[t] -= B @ A
     return out
 
 
@@ -291,11 +267,10 @@ def d_moment_complex(x: Representation, X: Mats) -> Mats:
     q = x.quiver
     pairs = _paired_edges(q)
     out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    vidx = {v: i for i, v in enumerate(q.vertices)}
     for a, ab in pairs:
         A, B = x.mats[a], x.mats[ab]
         dA, dB = X[a], X[ab]
-        h, t = vidx[q.head(a)], vidx[q.tail(a)]
+        t, h = q.ends[a]
         out[h] = out[h] + (dA @ B + A @ dB)
         out[t] = out[t] - (B @ dA + dB @ A)
     return out
@@ -401,7 +376,7 @@ def add_tangent(x: Representation, X: Mats) -> Representation:
     for e, (m, d) in enumerate(zip(x.mats, X)):
         if np.shape(d) != m.shape:
             raise ValueError(f"tangent shape {np.shape(d)} != edge {e} shape {m.shape}")
-    return Representation(x.quiver, dict(x.dims), mats_add(x.mats, X))
+    return Representation(x.quiver, dict(x.dims), [m + d for m, d in zip(x.mats, X)])
 
 
 def slope_float(alpha: Mapping, vp: Mapping[str, int]) -> float:

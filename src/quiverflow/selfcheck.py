@@ -23,6 +23,7 @@ from .rep import (
     rep_distance,
     vertex_shapes,
     d_moment_real,
+    edge_shapes,
     moment_real,
 )
 from .flow import FlowOptions, flow
@@ -35,6 +36,10 @@ from .correspond import (
 )
 from .oracles import fd_gradient, fd_hessian, thin_hn_type
 from .serde import rep_from_json, rep_to_json
+
+
+# steps of the monotone check's flow: 21 energy samples at the default stride
+_MONOTONE_STEPS = 200
 
 
 def _check(name, ok, detail):
@@ -91,11 +96,15 @@ def _moment_derivative_check(seed):
 
 def _flow_monotone_check(seed):
     x, alpha = fixtures.random_doubled(seed + 3)
-    # some seeds take steps so small that max_time alone runs for many minutes
-    res = flow(x, alpha, FlowOptions(max_time=5.0, max_steps=1000))
+    # zeroing every reversed edge puts the start on mu_C^{-1}(0); off it the
+    # drift test shrinks dt until the flow ends in step_underflow
+    for _, ab in x.quiver.pairing:
+        x.mats[ab] = np.zeros_like(x.mats[ab])
+    res = flow(x, alpha, FlowOptions(max_time=5.0, max_steps=_MONOTONE_STEPS))
     energies = [s[1] for s in res.trajectory]
     drops = all(b <= a + 1e-10 * (1 + abs(a)) for a, b in zip(energies, energies[1:]))
-    return _check("flow-energy-monotone", drops, float(energies[-1]))
+    ok = drops and res.status != "step_underflow"
+    return _check("flow-energy-monotone", ok, float(energies[-1]))
 
 
 def _flow_equivariance_check(seed):
@@ -157,9 +166,7 @@ def _thin_check(seed):
 def _handsaw_check(seed):
     q, dims = fixtures.hs3()
     rng = np.random.default_rng(seed + 41)
-    mats = random_mats([(dims[q.head(e)], dims[q.tail(e)])
-                        for e in range(q.nedges)], rng)
-    x = Representation(q, dims, mats)
+    x = Representation(q, dims, random_mats(edge_shapes(q, dims), rng))
     back = handsaw_adjoint(handsaw_adjoint(x))
     err = rep_distance(back, x)
     return _check("handsaw-adjoint-involution", err == 0.0, float(err))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quiver import Quiver, check_quiver
-from .rep import Representation
+from .rep import Representation, edge_shapes
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -136,8 +136,7 @@ def rep_from_json(obj: dict) -> Representation:
     dims = dims_from_json({"dims": obj["dims"]})
     raw = obj.get("mats", {})
     mats = []
-    for e in range(q.nedges):
-        shape = (dims[q.head(e)], dims[q.tail(e)])
+    for e, shape in enumerate(edge_shapes(q, dims)):
         entry = raw.get(str(e))
         if entry is None:
             mats.append(np.zeros(shape, dtype=complex))

@@ -11,6 +11,7 @@ from quiverflow.fixtures import (
 )
 from quiverflow.flow import FlowOptions, constraint_norm, flow, trajectory_csv
 from quiverflow.rep import (
+    Representation,
     direct_sum,
     energy,
     grad_norm,
@@ -149,3 +150,24 @@ def test_final_fields_consistent():
     assert r.final_grad_norm == pytest.approx(grad_norm(r.limit, chain2_weights()))
     assert r.final_energy == pytest.approx(energy(r.limit, chain2_weights()))
     assert r.time > 0 and r.steps > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (framed_a1_rep(0.0, 3.0), framed_a1_weights()),
+    lambda: random_doubled(seed=2),
+], ids=["framed_a1", "off_level_set"])
+def test_flow_validates_only_input_and_limit(monkeypatch, make):
+    # stage points are bare matrix lists: only the input copy and the limit
+    # are validated, whatever the step count
+    x0, alpha = make()
+    calls = []
+    post_init = Representation.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Representation, "__post_init__", counted)
+    r = flow(x0, alpha, FlowOptions(dt_init=0.5, max_time=50.0))
+    assert r.steps > 10
+    assert len(calls) <= 2

@@ -130,3 +130,11 @@ def test_canonical_stability():
     with pytest.raises(ValueError):
         canonical_stability(plain, {"1": 1})
 
+
+
+def test_edge_ends_cached_outside_equality():
+    q = Quiver(vertices=("a", "b"), edges=(("a", "b"), ("b", "b"), ("b", "a")))
+    assert q.ends == ((0, 1), (1, 1), (1, 0))
+    assert q.ends is q.ends
+    fresh = Quiver(vertices=("a", "b"), edges=(("a", "b"), ("b", "b"), ("b", "a")))
+    assert q == fresh and hash(q) == hash(fresh)
