@@ -20,6 +20,8 @@ from .rep import (
     embed_rep,
     energy,
     direct_sum,
+    null_space,
+    numerical_rank,
     ravel_real,
     rep_distance,
     group_act,
@@ -54,12 +56,7 @@ class FlowLinePair:
 
 
 def _full_col_rank(m: np.ndarray, tol: float = 1e-9) -> bool:
-    if m.shape[1] == 0:
-        return True
-    if m.shape[0] < m.shape[1]:
-        return False
-    s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] > tol * max(s[0], 1.0))
+    return numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol) == m.shape[1]
 
 
 def _full_row_rank(m: np.ndarray, tol: float = 1e-9) -> bool:
@@ -120,15 +117,6 @@ def _condition_matrix(x1: Representation, x2: Representation, pinned: str | None
     return M, rhs, layout, total
 
 
-def _null_space(M: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the numerical kernel of M; singular values
-    up to max(rank_tol * max(smax, 1), 1e-13) count as zero."""
-    _, s, Vh = np.linalg.svd(M)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > max(rank_tol * max(smax, 1.0), 1e-13)))
-    return Vh[rank:].conj().T
-
-
 def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 1e-9):
     """Orthonormal basis of Hom(x1, x2); returns a list of per-vertex dicts."""
     if x1.quiver.edges != x2.quiver.edges:
@@ -136,7 +124,7 @@ def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 
     M, _, layout, total = _condition_matrix(x1, x2, pinned=None)
     if total == 0:
         return []
-    null = _null_space(M, rank_tol)
+    null = null_space(M, rank_tol)
     return [_xi_from_vec(layout, null[:, i], x1.dims, x2.dims, None)
             for i in range(null.shape[1])]
 
@@ -168,20 +156,9 @@ def is_isomorphic(x1: Representation, x2: Representation, seed: int = 0,
         cand = {v: sum(c[i] * basis[i][v] for i in range(len(basis)))
                 for v in q.vertices}
         candidates.append(cand)
+    # equal dims make every block square, so full column rank is invertibility
     for cand in candidates:
-        ok = True
-        for v in q.vertices:
-            m = cand[v]
-            if m.shape[0] != m.shape[1]:
-                ok = False
-                break
-            if m.size == 0:
-                continue
-            s = np.linalg.svd(m, compute_uv=False)
-            if s[-1] <= 0.0 or s[0] / s[-1] >= 1e12:
-                ok = False
-                break
-        if not ok:
+        if not all(_full_col_rank(cand[v], 1e-12) for v in q.vertices):
             continue
         g = [cand[v] for v in q.vertices]
         moved = group_act(g, x1)
@@ -231,7 +208,7 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
     residual = float(np.linalg.norm(M @ part + rhs))
     if residual > tol * scale:
         return None
-    null = _null_space(M, 1e-9)
+    null = null_space(M, 1e-9)
     rng = np.random.default_rng(seed)
     tries = [part]
     for _ in range(8):
@@ -261,8 +238,7 @@ def flowline_to_hecke(pair: FlowLinePair, k: str, tol: float = 1e-8) -> Intertwi
     q = x1.quiver
     if q.infinity is None:
         raise ValueError("hecke restriction needs a distinguished vertex")
-    vidx = {v: i for i, v in enumerate(q.vertices)}
-    blocks = {v: pair.g[vidx[v]][:, : x1.dims[v]].copy() for v in q.vertices}
+    blocks = {v: g[:, : x1.dims[v]].copy() for v, g in zip(q.vertices, pair.g)}
     pin = blocks[q.infinity]
     if pin.size == 0 or abs(pin[0, 0]) < 1e-12:
         raise ValueError("degenerate restriction: vanishing block at infinity")
@@ -303,11 +279,9 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
     # unit vector spanning the complement of the image at the modified vertex
     xk = blocks[k]
     if xk.shape[1] == 0:
-        U = np.eye(d2[k], dtype=complex)
-        w = U[:, 0]
+        w = np.eye(d2[k], dtype=complex)[:, 0]
     else:
-        U, s, _ = np.linalg.svd(xk)
-        w = U[:, -1]
+        w = np.linalg.svd(xk)[0][:, -1]
     line = d2[k] - 1  # leading-coordinate embedding: new direction is last
 
     # delta-tilde: per edge out of k, pull x2 applied to w back through xi
@@ -337,7 +311,6 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
         h = q.head(e)
         delta[e][: d1[h], line] = cols[e]
 
-    vidx = {v: i for i, v in enumerate(q.vertices)}
     g = []
     for v in q.vertices:
         m = np.zeros((d2[v], d2[v]), dtype=complex)

@@ -26,6 +26,8 @@ from .rep import (
     moment_complex,
     moment_minus_alpha,
     mult_i,
+    null_space,
+    numerical_rank,
     slope_float,
     unravel_real,
 )
@@ -272,23 +274,12 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
         raise ValueError("not a C0 critical point: complement block is nonzero")
 
     coeff_shapes = [(P1[q.head(e)].shape[1], P2[q.tail(e)].shape[1]) for e in range(q.nedges)]
-    m = 2 * sum(s[0] * s[1] for s in coeff_shapes)
-    if m == 0:
-        profile.neg_slice_dim = 0
-        return [], profile
-
     def to_tangent(C):
         return [P1[q.head(e)] @ C[e] @ P2[q.tail(e)].conj().T for e in range(q.nedges)]
 
     A = matrix_of(lambda C: slice_conditions(x, to_tangent(C)), coeff_shapes)
-    if A.size:
-        _, s, Vt = np.linalg.svd(A)
-        smax = s[0] if len(s) else 0.0
-        null = [Vt[i] for i in range(Vt.shape[0])
-                if i >= len(s) or s[i] <= max(tols.rank_tol * max(smax, 1.0), 1e-12)]
-    else:
-        null = [np.eye(m)[i] for i in range(m)]
-    basis = [to_tangent(unravel_real(vec, coeff_shapes)) for vec in null]
+    null = null_space(A, tols.rank_tol)
+    basis = [to_tangent(unravel_real(vec, coeff_shapes)) for vec in null.T]
     for delta in basis:
         drift = mats_norm(moment_complex(add_tangent(x, delta))) if q.pairing else 0.0
         if drift > 1e-9 * (1.0 + x.norm()) ** 2:
@@ -308,14 +299,8 @@ def stratum_codim(x: Representation, k: str, rank_tol: float = 1e-9) -> int:
         raise ValueError(f"unknown vertex {k!r}")
     if k == q.infinity:
         raise ValueError("stratum vertex must be ordinary")
-    incoming = [x.mats[e] for e in q.edges_into(k)]
     dk = x.dims[k]
-    cols = [m for m in incoming if m.shape[1] > 0]
-    if not cols or dk == 0:
-        return dk
-    M = np.concatenate(cols, axis=1)
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rank_tol * max(smax, 1.0))) if smax > 0 else 0
-    return dk - rank
+    # the empty leading block keeps the shape when no edge comes in
+    M = np.hstack([np.zeros((dk, 0))] + [x.mats[e] for e in q.edges_into(k)])
+    return dk - numerical_rank(np.linalg.svd(M, compute_uv=False), M.shape, rank_tol)
 

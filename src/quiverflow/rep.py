@@ -21,6 +21,16 @@ The real-linear kernels in the tangent data (``inf_action``,
 matrices with leading batch axes, shape (..., rows, cols); the base point
 stays unbatched.  The matrix of such a map is then one call on the identity
 batch of real coordinates instead of one call per unit vector.
+
+Numerical rank
+--------------
+Every rank decision (invertible group elements, injective or invertible
+intertwiners, kernels, incoming-image spans) goes through
+``numerical_rank``: a singular value sigma counts when
+sigma > max(tol, max(m, n) eps) sigma_max, with the caller's relative tol and
+eps the float64 machine epsilon (Golub-Van Loan, Matrix Computations, 5.4).
+The cut scales with the data, so rescaling a representation never flips a
+verdict; a zero or empty matrix has rank 0.
 """
 from __future__ import annotations
 
@@ -169,17 +179,27 @@ def anti_hermitian_part(a: Sequence[np.ndarray]) -> Mats:
 # group action and infinitesimal action
 
 
+def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: float) -> int:
+    """Rank of a matrix of the given shape from its descending singular
+    values s, by the cut in the module docstring."""
+    if not len(s):
+        return 0
+    return int(np.count_nonzero(s > max(tol, max(shape) * np.finfo(float).eps) * s[0]))
+
+
+def null_space(M: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of M."""
+    _, s, Vh = np.linalg.svd(M)
+    return Vh[numerical_rank(s, M.shape, rank_tol):].conj().T
+
+
 def _inverses(g: Sequence[np.ndarray]) -> Mats:
     out = []
     for i, m in enumerate(g):
         m = np.asarray(m, dtype=complex)
         if m.shape[0] != m.shape[1]:
             raise ValueError("group element blocks must be square")
-        if m.size == 0:
-            out.append(m.copy())
-            continue
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= 1e-14 * max(1.0, s[0]):
+        if numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, 1e-14) < m.shape[0]:
             raise ValueError(f"singular block at position {i}")
         out.append(np.linalg.inv(m))
     return out
@@ -284,9 +304,14 @@ def central_element(quiver: Quiver, alpha: Mapping, dims: Mapping[str, int]) -> 
 
 
 def moment_minus_alpha(x: Representation, alpha: Mapping) -> Mats:
-    mu = moment_real(x)
-    c = central_element(x.quiver, alpha, x.dims)
-    return mats_sub(mu, c)
+    """mu(x) minus the central element, subtracted on the diagonal of the
+    fresh moment-map blocks."""
+    if set(alpha) != set(x.dims):
+        raise ValueError("weight keys must match dimension-vector keys")
+    out = moment_real(x)
+    for u, v in zip(out, x.quiver.vertices):
+        u.ravel()[:: u.shape[0] + 1] -= complex(0.0, float(alpha[v]))
+    return out
 
 
 # ---------------------------------------------------------------------------

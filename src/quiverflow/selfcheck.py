@@ -38,8 +38,8 @@ from .oracles import fd_gradient, fd_hessian, thin_hn_type
 from .serde import rep_from_json, rep_to_json
 
 
-# steps of the monotone check's flow: 21 energy samples at the default stride
-_MONOTONE_STEPS = 200
+# step cap of the selfcheck flows: 21 energy samples at the default stride
+_FLOW_STEPS = 200
 
 
 def _check(name, ok, detail):
@@ -94,13 +94,17 @@ def _moment_derivative_check(seed):
     return _check("moment-derivative", err < 1e-6, err)
 
 
-def _flow_monotone_check(seed):
-    x, alpha = fixtures.random_doubled(seed + 3)
-    # zeroing every reversed edge puts the start on mu_C^{-1}(0); off it the
-    # drift test shrinks dt until the flow ends in step_underflow
+def _on_level_set(x: Representation) -> Representation:
+    """Zero every reversed edge, which puts x on mu_C^{-1}(0); off it the drift
+    test shrinks dt until the flow ends in step_underflow."""
     for _, ab in x.quiver.pairing:
         x.mats[ab] = np.zeros_like(x.mats[ab])
-    res = flow(x, alpha, FlowOptions(max_time=5.0, max_steps=_MONOTONE_STEPS))
+    return x
+
+
+def _flow_monotone_check(seed):
+    x, alpha = fixtures.random_doubled(seed + 3)
+    res = flow(_on_level_set(x), alpha, FlowOptions(max_time=5.0, max_steps=_FLOW_STEPS))
     energies = [s[1] for s in res.trajectory]
     drops = all(b <= a + 1e-10 * (1 + abs(a)) for a, b in zip(energies, energies[1:]))
     ok = drops and res.status != "step_underflow"
@@ -109,6 +113,7 @@ def _flow_monotone_check(seed):
 
 def _flow_equivariance_check(seed):
     x, alpha = fixtures.random_doubled(seed + 4)
+    x = _on_level_set(x)
     rng = np.random.default_rng(seed + 31)
     g = []
     for v in x.quiver.vertices:
@@ -116,11 +121,13 @@ def _flow_equivariance_check(seed):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         qmat, _ = np.linalg.qr(m)
         g.append(qmat)
-    opts = FlowOptions(max_time=2.0)
-    a = flow(group_act(g, x), alpha, opts).limit
-    b = group_act(g, flow(x, alpha, opts).limit)
-    err = _rel(rep_distance(a, b), b.norm())
-    return _check("flow-unitary-equivariance", err < 1e-6, err)
+    opts = FlowOptions(max_time=2.0, max_steps=_FLOW_STEPS)
+    ra = flow(group_act(g, x), alpha, opts)
+    rb = flow(x, alpha, opts)
+    b = group_act(g, rb.limit)
+    err = _rel(rep_distance(ra.limit, b), b.norm())
+    ok = err < 1e-6 and "step_underflow" not in (ra.status, rb.status)
+    return _check("flow-unitary-equivariance", ok, err)
 
 
 def _classify_check(seed):

@@ -16,12 +16,13 @@ from quiverflow.correspond import (
     lagrangian_check,
     snap_rep,
 )
-from quiverflow.critical import negative_slice_basis
+from quiverflow.critical import negative_slice_basis, stratum_codim
 from quiverflow.fixtures import (
     chain2_rep,
     framed_a1,
     framed_a1_rep,
     framed_a1w2_critical,
+    framed_a1w2_rep,
     hs2,
     hs2_rep,
     hs3,
@@ -31,8 +32,10 @@ from quiverflow.quiver import Quiver, canonical_stability
 from quiverflow.rep import (
     Representation,
     add_tangent,
+    group_act,
     mats_norm,
     mats_scale,
+    numerical_rank,
     random_rep,
     rep_distance,
 )
@@ -89,6 +92,31 @@ def test_is_isomorphic_rejects_jordan_block():
     assert is_isomorphic(I2, J)[0] is False
     assert is_isomorphic(I2, J, strict=True)[0] is False
     assert is_isomorphic(I2, chain2_rep(1.0))[0] is False
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
+def test_rank_verdicts_scale_invariant(c):
+    # rescaling every edge matrix by c leaves every rank verdict unchanged;
+    # a cut with an absolute floor counts tiny singular values as zero
+    q = Quiver(vertices=("1", "2", "3"), edges=(("1", "2"), ("2", "3"), ("1", "3")))
+    dims = {"1": 2, "2": 2, "3": 2}
+    rng = np.random.default_rng(0)
+    x, y = random_rep(q, dims, rng), random_rep(q, dims, rng)
+    g = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in q.vertices]
+    gx = group_act(g, x)
+
+    def scaled(r):
+        return Representation(r.quiver, dict(r.dims), mats_scale(c, r.mats))
+
+    assert len(intertwiner_space(scaled(x), scaled(gx))) == 2
+    assert len(intertwiner_space(scaled(x), scaled(y))) == 0
+    assert is_isomorphic(scaled(x), scaled(gx))[0] is True
+    assert is_isomorphic(scaled(x), scaled(y))[0] is False
+    assert stratum_codim(scaled(framed_a1w2_rep([1, 0], [0, 1], [0, 0], [0, 0])), "1") == 0
+    assert stratum_codim(scaled(framed_a1w2_rep([1, 0], [2, 0], [0, 0], [0, 0])), "1") == 1
+    for m in (np.zeros((3, 2)), np.zeros((3, 0)), np.zeros((0, 3)), c * np.eye(3)[:, :2]):
+        want = 2 if m.any() else 0
+        assert numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, 1e-9) == want
 
 
 def small_f1_rep():
