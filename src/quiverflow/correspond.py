@@ -121,9 +121,7 @@ def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 
     """Orthonormal basis of Hom(x1, x2); returns a list of per-vertex dicts."""
     if x1.quiver.edges != x2.quiver.edges:
         raise ValueError("intertwiners need a common quiver")
-    M, _, layout, total = _condition_matrix(x1, x2, pinned=None)
-    if total == 0:
-        return []
+    M, _, layout, _ = _condition_matrix(x1, x2, pinned=None)
     null = null_space(M, rank_tol)
     return [_xi_from_vec(layout, null[:, i], x1.dims, x2.dims, None)
             for i in range(null.shape[1])]
@@ -193,20 +191,10 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
         raise ValueError(f"modified vertex {k!r} must be an ordinary vertex")
     if x2.dims != {v: x1.dims[v] + (1 if v == k else 0) for v in q.vertices}:
         raise ValueError("dimension vectors must differ by one at the given vertex")
-    M, rhs, layout, total = _condition_matrix(x1, x2, pinned=q.infinity)
-    scale = 1.0 + x1.norm() + x2.norm()
-    if total == 0:
-        residual = float(np.linalg.norm(rhs))
-        if residual > tol * scale:
-            return None
-        blocks = _xi_from_vec(layout, np.zeros(0, dtype=complex),
-                              x1.dims, x2.dims, q.infinity)
-        inj = all(_full_col_rank(blocks[v]) for v in q.vertices)
-        return Intertwiner(blocks=blocks, residual=residual, space_dim=0,
-                           normalized=True, injective=inj)
+    M, rhs, layout, _ = _condition_matrix(x1, x2, pinned=q.infinity)
     part, *_ = np.linalg.lstsq(M, -rhs, rcond=None)
     residual = float(np.linalg.norm(M @ part + rhs))
-    if residual > tol * scale:
+    if residual > tol * (1.0 + x1.norm() + x2.norm()):
         return None
     null = null_space(M, 1e-9)
     rng = np.random.default_rng(seed)
@@ -277,11 +265,7 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
 
     d1, d2 = x1.dims, x2.dims
     # unit vector spanning the complement of the image at the modified vertex
-    xk = blocks[k]
-    if xk.shape[1] == 0:
-        w = np.eye(d2[k], dtype=complex)[:, 0]
-    else:
-        w = np.linalg.svd(xk)[0][:, -1]
+    w = np.linalg.svd(blocks[k])[0][:, -1]
     line = d2[k] - 1  # leading-coordinate embedding: new direction is last
 
     # delta-tilde: per edge out of k, pull x2 applied to w back through xi
@@ -299,10 +283,7 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
     if d1[k] > 0 and out_edges:
         A = np.concatenate([x1.mats[e] for e in out_edges], axis=0)
         b = np.concatenate([cols[e] for e in out_edges])
-        if A.shape[0]:
-            v_corr, *_ = np.linalg.lstsq(A, b, rcond=None)
-        else:
-            v_corr = np.zeros(d1[k], dtype=complex)
+        v_corr, *_ = np.linalg.lstsq(A, b, rcond=None)
         for e in out_edges:
             cols[e] = cols[e] - x1.mats[e] @ v_corr
     else:

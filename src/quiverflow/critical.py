@@ -5,6 +5,13 @@ per-vertex eigenspaces split the representation into sub-blocks whose
 eigenvalue equals the slope of their dimension vector.  The Hessian acts on a
 Hom^1 block mapping the slope-s block into the slope-t block with eigenvalue
 t - s, so the negative directions point from larger into smaller slope.
+
+The blocks are kept in one layout: at each vertex the unitary eigenbasis of
+i(mu - alpha), columns in increasing eigenvalue, and the block label of each
+column; a block's columns are contiguous.  Every block question is a boolean
+mask on an edge matrix read in the eigenbases at its two ends, B_h^* A B_t; as
+the bases are unitary, the norm outside the mask is the distance of A from the
+maps the mask allows.
 """
 from __future__ import annotations
 
@@ -55,13 +62,15 @@ class CriticalProfile:
     """Eigenvalue clusters of i(mu - alpha) with their block data.
 
     ``eigenvalues`` is increasing; ``blocks`` matches it; ``critical_type``
-    lists the same blocks by decreasing slope.  ``projectors[v]`` stacks one
-    orthonormal column basis per cluster for vertex v.
+    lists the same blocks by decreasing slope.  ``bases[i]`` is the unitary
+    eigenbasis at the i-th vertex, columns in increasing eigenvalue, and
+    ``labels[i]`` gives the index into ``blocks`` of each of its columns.
     """
 
     eigenvalues: list[float]
     blocks: list[dict[str, int]]
-    projectors: list[dict[str, np.ndarray]]
+    bases: list[np.ndarray]
+    labels: list[np.ndarray]
     critical_type: list[dict[str, int]]
     offdiag_residual: float
     grad_norm: float
@@ -81,64 +90,46 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
+def _outside(q, bases, labels, mats, inside) -> float:
+    """Norm of the entries of the edge matrices, read in the eigenbases at
+    their two ends, that ``inside(head labels, tail labels)`` does not keep."""
+    total = 0.0
+    for (t, h), m in zip(q.ends, mats):
+        piece = bases[h].conj().T @ m @ bases[t]
+        keep = inside(labels[h][:, None], labels[t][None, :])
+        total += float(np.sum(np.abs(piece[~keep]) ** 2))
+    return float(np.sqrt(total))
+
+
 def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None) -> CriticalProfile:
     """Split a numerically critical point into its eigenvalue blocks."""
     tols = tols or ClassifyTols()
     with np.errstate(over="ignore", invalid="ignore"):
         g = mats_norm(grad_energy(x, alpha))
+        scale = max(1.0, x.norm())
     bound = tols.grad_factor * tols.grad_tol
-    # written so that a NaN gradient norm is rejected too
-    if not g < bound:
-        raise ValueError(f"not critical: gradient norm {g:.3e} exceeds {bound:.3e}")
+    # (x, alpha) -> (c x, c^2 alpha) scales the gradient by c^3; dividing by
+    # the scale one factor at a time cannot overflow, and a NaN fails the test
+    if not g / scale / scale / scale < bound:
+        raise ValueError(f"not critical: gradient norm {g:.3e} exceeds {bound:.3e} * max(1, |x|)^3")
     q = x.quiver
-    herm = []
+    vals, bases = [], []
     for u in moment_minus_alpha(x, alpha):
         m = 1j * u
-        herm.append((m + m.conj().T) / 2.0)
-    vals: list[float] = []
-    owners: list[tuple[int, int]] = []  # (vertex index, column)
-    vecs = []
-    for vi, m in enumerate(herm):
-        if m.shape[0] == 0:
-            vecs.append(np.zeros((0, 0)))
-            continue
-        w, v = np.linalg.eigh(m)
-        vecs.append(v)
-        for col, lam in enumerate(w):
-            vals.append(float(lam))
-            owners.append((vi, col))
-    flat = np.array(vals)
-    groups = _cluster(flat, tols.cluster_tol) if len(flat) else []
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        vals.append(w)
+        bases.append(v)
+    flat = np.concatenate(vals)
+    groups = _cluster(flat, tols.cluster_tol)
+    label = np.empty(len(flat), dtype=int)
+    for j, grp in enumerate(groups):
+        label[grp] = j
+    labels = np.split(label, np.cumsum([len(w) for w in vals[:-1]]))
+    eigenvalues = [float(np.mean(flat[grp])) for grp in groups]
+    blocks = [{v: int(np.count_nonzero(lab == j)) for v, lab in zip(q.vertices, labels)}
+              for j in range(len(groups))]
 
-    eigenvalues = []
-    blocks = []
-    projectors = []
-    for grp in groups:
-        lam = float(np.mean(flat[grp]))
-        blk = {v: 0 for v in q.vertices}
-        cols: dict[int, list[int]] = {}
-        for idx in grp:
-            vi, col = owners[idx]
-            blk[q.vertices[vi]] += 1
-            cols.setdefault(vi, []).append(col)
-        proj = {}
-        for vi, v in enumerate(q.vertices):
-            cs = sorted(cols.get(vi, []))
-            proj[v] = vecs[vi][:, cs] if x.dims[v] else np.zeros((0, 0))
-        eigenvalues.append(lam)
-        blocks.append(blk)
-        projectors.append(proj)
-
-    offdiag = 0.0
-    for e in range(q.nedges):
-        h, t = q.head(e), q.tail(e)
-        for j in range(len(groups)):
-            for k in range(len(groups)):
-                if j == k:
-                    continue
-                piece = projectors[k][h].conj().T @ x.mats[e] @ projectors[j][t]
-                offdiag += float(np.sum(np.abs(piece) ** 2))
-    offdiag = float(np.sqrt(offdiag))
+    offdiag = _outside(q, bases, labels, x.mats, np.equal)
     if offdiag > tols.block_tol:
         raise ValueError(f"block structure violated: off-diagonal residual {offdiag:.3e}")
 
@@ -154,7 +145,8 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
     return CriticalProfile(
         eigenvalues=eigenvalues,
         blocks=blocks,
-        projectors=projectors,
+        bases=bases,
+        labels=labels,
         critical_type=[blocks[j] for j in order],
         offdiag_residual=offdiag,
         grad_norm=g,
@@ -178,7 +170,7 @@ def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None)
     sym_defect = float(np.max(np.abs(H - H.T))) if H.size else 0.0
     w, V = np.linalg.eigh((H + H.T) / 2.0)
     shapes = edge_shapes(x.quiver, x.dims)
-    groups = _cluster(w, tols.cluster_tol) if len(w) else []
+    groups = _cluster(w, tols.cluster_tol)
     spectrum = []
     for grp in groups:
         lam = float(np.mean(w[grp]))
@@ -192,7 +184,7 @@ def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None)
 
 
 def _check_negative_vectors(x, alpha, profile: CriticalProfile, lam, tangents, tols):
-    q = x.quiver
+    lams = np.array(profile.eigenvalues)
     for X in tangents:
         nX = mats_norm(X)
         a1 = mats_norm(inf_action_adjoint(x, X, flavor="compact"))
@@ -201,17 +193,8 @@ def _check_negative_vectors(x, alpha, profile: CriticalProfile, lam, tangents, t
             raise ValueError(
                 f"negative eigenvector fails kernel conditions ({max(a1, a2):.3e})"
             )
-        kept = [np.zeros_like(m) for m in X]
-        lams = profile.eigenvalues
-        for j in range(len(lams)):
-            for k in range(len(lams)):
-                if abs((lams[k] - lams[j]) - lam) >= tols.cluster_tol:
-                    continue
-                for e in range(q.nedges):
-                    Qh = profile.projectors[k][q.head(e)]
-                    Qt = profile.projectors[j][q.tail(e)]
-                    kept[e] += Qh @ (Qh.conj().T @ X[e] @ Qt) @ Qt.conj().T
-        res = mats_norm([a - b for a, b in zip(X, kept)])
+        res = _outside(x.quiver, profile.bases, profile.labels, X,
+                       lambda k, j: np.abs((lams[k] - lams[j]) - lam) < tols.cluster_tol)
         if res > 1e-8 * (1.0 + nX):
             raise ValueError(
                 f"negative eigenvector leaks out of its predicted blocks ({res:.3e})"
@@ -246,8 +229,7 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
     if q.infinity is None:
         raise ValueError("negative slice needs a distinguished vertex")
     want = canonical_stability(q, x.dims)
-    got = {v: alpha[v] for v in alpha}
-    if any(float(got[v]) != float(want[v]) for v in want):
+    if set(alpha) != set(want) or any(float(alpha[v]) != float(want[v]) for v in want):
         raise ValueError("negative slice requires the canonical stability parameter")
     profile = classify_critical(x, alpha, tols)
     inf_block = [j for j, blk in enumerate(profile.blocks) if blk[q.infinity] == 1]
@@ -257,25 +239,17 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
     if len(profile.blocks) == 1:
         profile.neg_slice_dim = 0
         return [], profile
-    P1 = profile.projectors[j1]
-    P2 = {}
-    for vi, v in enumerate(q.vertices):
-        others = [profile.projectors[j][v] for j in range(len(profile.blocks)) if j != j1]
-        others = [p for p in others if p.shape[1] > 0]
-        P2[v] = np.concatenate(others, axis=1) if others else np.zeros((x.dims[v], 0))
-
     # the complement representation must vanish
-    leak = 0.0
-    for e in range(q.nedges):
-        h, t = q.head(e), q.tail(e)
-        piece = P2[h].conj().T @ x.mats[e] @ P2[t]
-        leak += float(np.sum(np.abs(piece) ** 2))
-    if np.sqrt(leak) > tols.block_tol * (1.0 + x.norm()):
+    leak = _outside(q, profile.bases, profile.labels, x.mats,
+                    lambda h, t: (h == j1) | (t == j1))
+    if leak > tols.block_tol * (1.0 + x.norm()):
         raise ValueError("not a C0 critical point: complement block is nonzero")
 
-    coeff_shapes = [(P1[q.head(e)].shape[1], P2[q.tail(e)].shape[1]) for e in range(q.nedges)]
+    P1 = [b[:, lab == j1] for b, lab in zip(profile.bases, profile.labels)]
+    P2 = [b[:, lab != j1] for b, lab in zip(profile.bases, profile.labels)]
+    coeff_shapes = [(P1[h].shape[1], P2[t].shape[1]) for t, h in q.ends]
     def to_tangent(C):
-        return [P1[q.head(e)] @ C[e] @ P2[q.tail(e)].conj().T for e in range(q.nedges)]
+        return [P1[h] @ c @ P2[t].conj().T for (t, h), c in zip(q.ends, C)]
 
     A = matrix_of(lambda C: slice_conditions(x, to_tangent(C)), coeff_shapes)
     null = null_space(A, tols.rank_tol)

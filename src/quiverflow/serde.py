@@ -84,6 +84,9 @@ def parse_weight(value):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        # JSON Infinity and NaN parse as floats; no slope is defined for them
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite weight {value!r}")
         return value
     if isinstance(value, str):
         s = value.strip()
@@ -135,6 +138,8 @@ def rep_from_json(obj: dict) -> Representation:
     q = quiver_from_json(obj["quiver"])
     dims = dims_from_json({"dims": obj["dims"]})
     raw = obj.get("mats", {})
+    if not isinstance(raw, dict):
+        raise ValueError("mats must be an object keyed by edge index")
     mats = []
     for e, shape in enumerate(edge_shapes(q, dims)):
         entry = raw.get(str(e))

@@ -229,12 +229,19 @@ def test_project_flow_flags_apply_on_affine_defaults(tmp_path):
     (["project", "{jordan}", "--snap", "-1"], "snap_tol"),
     (["lagrangian", "{jordan}", "{jordan}", "--iso-tol", "-1"], "iso_tol"),
     (["flow", "{rep}", "canonical", "--out", "{dir}/missing/out.json"], "No such file"),
+    (["negslice", "{zero}", "{partial}"], "canonical"),
+    (["hn", "{rep}", "{infinite}"], "non-finite weight"),
+    (["flow", "{listmats}", "canonical"], "mats must be an object"),
 ])
 def test_bad_input_exits_2(f1_files, tmp_path, args, expected):
     files = dict(f1_files,
                  jordan=write_rep(tmp_path / "j.json", jordan_rep([[1.0, 1.0], [0.0, 2.0]])),
                  huge=write_rep(tmp_path / "huge.json", framed_a1_rep(0.0, 1e200)),
-                 partial=write_json(tmp_path / "partial.json", {"weights": {"1": 1}}))
+                 partial=write_json(tmp_path / "partial.json", {"weights": {"1": 1}}),
+                 infinite=write_json(tmp_path / "infinite.json",
+                                     {"weights": {"1": float("inf"), "inf": -1}}),
+                 listmats=write_json(tmp_path / "listmats.json",
+                                     dict(rep_to_json(framed_a1_rep(0.0, 1.0)), mats=[])))
     code, out, err = run_cli(*[a.format(**files) for a in args])
     assert code == 2
     assert out == ""

@@ -131,6 +131,22 @@ def test_negative_slice_needs_canonical_weights():
         negative_slice_basis(x, {"1": 2, "inf": -2})
 
 
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_critical_type_and_negative_spectrum_scale_covariant(c):
+    # (x, alpha) -> (c x, c^2 alpha) scales mu - alpha and the Hessian by c^2
+    # and the gradient by c^3, so the type and the scaled spectrum stay put
+    w2 = framed_a1w2_critical(np.sqrt(1.5), np.sqrt(1.5))
+    for x, alpha in [(framed_a1_rep(0.0, np.sqrt(2)), framed_a1_weights()),
+                     (w2, canonical_stability(w2.quiver, w2.dims)),
+                     (framed_a1_rep(0.0, 0.0), framed_a1_weights())]:
+        _, _, ref = hessian_spectrum(x, alpha)
+        y = Representation(x.quiver, x.dims, mats_scale(c, x.mats))
+        _, _, prof = hessian_spectrum(y, {v: c * c * float(a) for v, a in alpha.items()})
+        assert prof.critical_type == ref.critical_type
+        assert [(lam / c ** 2, m) for lam, m in prof.neg_spectrum] == [
+            (pytest.approx(lam), m) for lam, m in ref.neg_spectrum]
+
+
 def test_flow_limits_classify_to_block_slopes():
     for x0, alpha in [
         (framed_a1_rep(0.0, 3.0), framed_a1_weights()),

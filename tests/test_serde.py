@@ -70,6 +70,9 @@ def test_parse_weight_forms():
         parse_weight(True)
     with pytest.raises(ValueError):
         parse_weight(None)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            parse_weight(bad)
 
 
 def test_weights_roundtrip_preserves_fractions():
