@@ -16,7 +16,6 @@ from .quiver import (
 )
 from .rep import (
     Representation,
-    central_element,
     direct_sum,
     embed_rep,
     energy,
@@ -68,10 +67,10 @@ __all__ = [
     "Quiver", "QuiverReport", "canonical_stability", "check_quiver", "crawley_boevey_frame",
     "degree_rank_slope", "double_quiver", "handsaw_roles", "handsaw_to_quiver",
     "reverse_quiver", "validate_quiver",
-    "Representation", "central_element", "direct_sum", "embed_rep", "energy", "grad_energy",
-    "grad_norm", "group_act", "hessian_apply", "hessian_matrix", "inf_action",
-    "inf_action_adjoint", "moment_complex", "moment_minus_alpha", "moment_real",
-    "random_rep", "restrict_rep", "rep_distance",
+    "Representation", "direct_sum", "embed_rep", "energy", "grad_energy", "grad_norm",
+    "group_act", "hessian_apply", "hessian_matrix", "inf_action", "inf_action_adjoint",
+    "moment_complex", "moment_minus_alpha", "moment_real", "random_rep", "restrict_rep",
+    "rep_distance",
     "FlowOptions", "FlowResult", "flow", "trajectory_csv",
     "ClassifyTols", "CriticalProfile", "classify_critical", "hessian_spectrum",
     "negative_slice_basis", "stratum_codim",

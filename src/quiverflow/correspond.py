@@ -5,6 +5,13 @@ intertwiner, Hecke membership with the distinguished block pinned to 1, the
 two constructive bridges between Hecke data and negative-slice flow lines,
 the affine projection (zero-weight flow), the Lagrangian comparison, and the
 handsaw reduction by reversal plus adjoints.
+
+An intertwiner xi: x1 -> x2 is a block xi_v of shape (d2_v, d1_v) per vertex.
+As a vector it is the row-major ravel of the blocks, concatenated in vertex
+order; a block pinned to the identity is no part of the vector.  Every Hom
+question (a basis, an invertible element, a pinned injective element) is
+answered from the one equation system of ``_hom_equations`` and the one
+seeded search of ``_generic_element``.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ from .rep import (
     embed_rep,
     energy,
     direct_sum,
+    mats_norm,
     null_space,
     numerical_rank,
     ravel_real,
@@ -55,76 +63,75 @@ class FlowLinePair:
     slice_residual: float
 
 
-def _full_col_rank(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, tol) == m.shape[1]
+def _injective(blocks: dict[str, np.ndarray], tol: float = 1e-9) -> bool:
+    """Every block has full column rank."""
+    return all(numerical_rank(np.linalg.svd(b, compute_uv=False), b.shape, tol) == b.shape[1]
+               for b in blocks.values())
 
 
-def _full_row_rank(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return _full_col_rank(m.conj().T, tol)
+def _check_step(x1: Representation, x2: Representation, k: str) -> None:
+    if x2.dims != {v: x1.dims[v] + (v == k) for v in x1.quiver.vertices}:
+        raise ValueError("dimension vectors must differ by one at the given vertex")
 
 
-def _xi_unknown_layout(q: Quiver, d1, d2, skip: str | None):
-    layout = []
-    pos = 0
-    for v in q.vertices:
-        if v == skip:
-            continue
-        n = d2[v] * d1[v]
-        layout.append((v, pos, (d2[v], d1[v])))
-        pos += n
-    return layout, pos
+def _intertwine_residual(x1: Representation, x2: Representation, blocks) -> float:
+    return mats_norm([blocks[h] @ a1 - a2 @ blocks[t]
+                      for (t, h), a1, a2 in zip(x1.quiver.edges, x1.mats, x2.mats)])
 
 
-def _xi_from_vec(layout, vec, d1, d2, pinned: str | None):
-    blocks = {}
-    for v, pos, shape in layout:
-        blocks[v] = vec[pos:pos + shape[0] * shape[1]].reshape(shape)
-    if pinned is not None:
-        blocks[pinned] = np.eye(d2[pinned], d1[pinned], dtype=complex)
-    return blocks
-
-
-def _intertwine_residual(q: Quiver, x1: Representation, x2: Representation, blocks) -> float:
-    total = 0.0
-    for e in range(q.nedges):
-        h, t = q.head(e), q.tail(e)
-        r = blocks[h] @ x1.mats[e] - x2.mats[e] @ blocks[t]
-        total += float(np.sum(np.abs(r) ** 2))
-    return float(np.sqrt(total))
-
-
-def _condition_matrix(x1: Representation, x2: Representation, pinned: str | None):
-    """Complex matrix of the intertwining conditions xi_h A1 - A2 xi_t = 0 in
-    the unknown blocks, plus the constant column coming from a pinned identity
-    block.  Row-major, vec(xi A) = (1 kron A^T) vec(xi) and
+def _hom_equations(x1: Representation, x2: Representation, pinned: str | None):
+    """The intertwining conditions xi_h A1 - A2 xi_t = 0 as M vec + rhs = 0,
+    with ``blocks(vec)`` the per-vertex dict of a solution, in the layout of
+    the module docstring.  The pinned block is the fixed identity and enters
+    rhs only.  Row-major, vec(xi A) = (1 kron A^T) vec(xi) and
     vec(A xi) = (A kron 1) vec(xi)."""
     q = x1.quiver
     d1, d2 = x1.dims, x2.dims
-    layout, total = _xi_unknown_layout(q, d1, d2, None)
-    cols = {v: slice(pos, pos + shape[0] * shape[1]) for v, pos, shape in layout}
-    rows = np.cumsum([0] + [d2[q.head(e)] * d1[q.tail(e)] for e in range(q.nedges)])
-    M = np.zeros((rows[-1], total), dtype=complex)
-    for e in range(q.nedges):
-        h, t = q.head(e), q.tail(e)
-        r = slice(rows[e], rows[e + 1])
-        M[r, cols[h]] += np.kron(np.eye(d2[h]), x1.mats[e].T)
-        M[r, cols[t]] -= np.kron(x2.mats[e], np.eye(d1[t]))
+    fixed = {} if pinned is None else {pinned: np.eye(d2[pinned], d1[pinned], dtype=complex)}
+    free = [v for v in q.vertices if v not in fixed]
+    ends = np.cumsum([0] + [d2[v] * d1[v] for v in free])
+    cols = {v: slice(a, b) for v, a, b in zip(free, ends, ends[1:])}
+    rows = np.cumsum([0] + [d2[h] * d1[t] for t, h in q.edges])
+    M = np.zeros((rows[-1], ends[-1]), dtype=complex)
     rhs = np.zeros(rows[-1], dtype=complex)
-    if pinned is not None:
-        rhs = M[:, cols[pinned]] @ np.eye(d2[pinned], d1[pinned]).ravel()
-        M = np.delete(M, cols[pinned], axis=1)
-    layout, total = _xi_unknown_layout(q, d1, d2, pinned)
-    return M, rhs, layout, total
+    for (t, h), a1, a2, r0, r1 in zip(q.edges, x1.mats, x2.mats, rows, rows[1:]):
+        if h in fixed:
+            rhs[r0:r1] += (fixed[h] @ a1).ravel()
+        else:
+            M[r0:r1, cols[h]] += np.kron(np.eye(d2[h]), a1.T)
+        if t in fixed:
+            rhs[r0:r1] -= (a2 @ fixed[t]).ravel()
+        else:
+            M[r0:r1, cols[t]] -= np.kron(a2, np.eye(d1[t]))
+
+    def blocks(vec):
+        return {v: fixed[v] if v in fixed else vec[cols[v]].reshape(d2[v], d1[v])
+                for v in q.vertices}
+    return M, rhs, blocks
+
+
+def _generic_element(part, null, blocks, seed: int, accept, trials: int = 8):
+    """Blocks of the first element of part + span(null) that passes accept:
+    part itself, then part + null @ c for ``trials`` seeded complex normal
+    draws c; None if every one fails.  An empty span leaves part alone."""
+    rng = np.random.default_rng(seed)
+    n = null.shape[1]
+    for trial in range(1 + trials if n else 1):
+        vec = part
+        if trial:
+            vec = part + null @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        b = blocks(vec)
+        if accept(b):
+            return b
+    return None
 
 
 def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 1e-9):
     """Orthonormal basis of Hom(x1, x2); returns a list of per-vertex dicts."""
     if x1.quiver.edges != x2.quiver.edges:
         raise ValueError("intertwiners need a common quiver")
-    M, _, layout, _ = _condition_matrix(x1, x2, pinned=None)
-    null = null_space(M, rank_tol)
-    return [_xi_from_vec(layout, null[:, i], x1.dims, x2.dims, None)
-            for i in range(null.shape[1])]
+    M, _, blocks = _hom_equations(x1, x2, None)
+    return [blocks(vec) for vec in null_space(M, rank_tol).T]
 
 
 def is_isomorphic(x1: Representation, x2: Representation, seed: int = 0,
@@ -138,31 +145,18 @@ def is_isomorphic(x1: Representation, x2: Representation, seed: int = 0,
     """
     if x1.quiver.edges != x2.quiver.edges or x1.dims != x2.dims:
         return False, None
-    basis = intertwiner_space(x1, x2)
-    if not basis:
+    M, _, blocks = _hom_equations(x1, x2, None)
+    null = null_space(M, 1e-9)
+    if strict and null.shape[1] != null_space(_hom_equations(x1, x1, None)[0], 1e-9).shape[1]:
         return False, None
-    if strict:
-        if len(basis) != len(intertwiner_space(x1, x1)):
-            return False, None
-    rng = np.random.default_rng(seed)
-    q = x1.quiver
-    candidates = []
-    if len(basis) == 1:
-        candidates.append(basis[0])
-    for _ in range(trials):
-        c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        cand = {v: sum(c[i] * basis[i][v] for i in range(len(basis)))
-                for v in q.vertices}
-        candidates.append(cand)
-    # equal dims make every block square, so full column rank is invertibility
-    for cand in candidates:
-        if not all(_full_col_rank(cand[v], 1e-12) for v in q.vertices):
-            continue
-        g = [cand[v] for v in q.vertices]
-        moved = group_act(g, x1)
-        if rep_distance(moved, x2) <= tol * (1.0 + x2.norm()):
-            return True, g
-    return False, None
+
+    def iso(b):
+        # equal dims make every block square, so injective is invertible
+        return (_injective(b, 1e-12)
+                and rep_distance(group_act(list(b.values()), x1), x2) <= tol * (1.0 + x2.norm()))
+    # the search starts at zero, the witness when every dimension is 0
+    found = _generic_element(np.zeros(M.shape[1], dtype=complex), null, blocks, seed, iso, trials)
+    return (False, None) if found is None else (True, list(found.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +183,18 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
         raise ValueError("hecke check needs a distinguished vertex")
     if k not in q.vertices or k == q.infinity:
         raise ValueError(f"modified vertex {k!r} must be an ordinary vertex")
-    if x2.dims != {v: x1.dims[v] + (1 if v == k else 0) for v in q.vertices}:
-        raise ValueError("dimension vectors must differ by one at the given vertex")
-    M, rhs, layout, _ = _condition_matrix(x1, x2, pinned=q.infinity)
+    _check_step(x1, x2, k)
+    M, rhs, blocks = _hom_equations(x1, x2, q.infinity)
     part, *_ = np.linalg.lstsq(M, -rhs, rcond=None)
     residual = float(np.linalg.norm(M @ part + rhs))
     if residual > tol * (1.0 + x1.norm() + x2.norm()):
         return None
     null = null_space(M, 1e-9)
-    rng = np.random.default_rng(seed)
-    tries = [part]
-    for _ in range(8):
-        if null.shape[1] == 0:
-            break
-        c = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
-        tries.append(part + null @ c)
-    chosen = None
-    injective = False
-    for vec in tries:
-        blocks = _xi_from_vec(layout, vec, x1.dims, x2.dims, q.infinity)
-        if all(_full_col_rank(blocks[v]) for v in q.vertices):
-            chosen, injective = blocks, True
-            break
-    if chosen is None:
-        chosen = _xi_from_vec(layout, part, x1.dims, x2.dims, q.infinity)
-    residual = _intertwine_residual(q, x1, x2, chosen)
-    return Intertwiner(blocks=chosen, residual=residual,
+    found = _generic_element(part, null, blocks, seed, _injective)
+    chosen = blocks(part) if found is None else found
+    return Intertwiner(blocks=chosen, residual=_intertwine_residual(x1, x2, chosen),
                        space_dim=int(null.shape[1]), normalized=True,
-                       injective=injective)
+                       injective=found is not None)
 
 
 def flowline_to_hecke(pair: FlowLinePair, k: str, tol: float = 1e-8) -> Intertwiner:
@@ -232,12 +210,11 @@ def flowline_to_hecke(pair: FlowLinePair, k: str, tol: float = 1e-8) -> Intertwi
         raise ValueError("degenerate restriction: vanishing block at infinity")
     c = pin[0, 0]
     blocks = {v: b / c for v, b in blocks.items()}
-    residual = _intertwine_residual(q, x1, x2, blocks)
+    residual = _intertwine_residual(x1, x2, blocks)
     if residual > tol * (1.0 + x1.norm() + x2.norm()):
         raise ValueError(f"restricted element fails to intertwine ({residual:.3e})")
-    inj = all(_full_col_rank(blocks[v]) for v in q.vertices)
     return Intertwiner(blocks=blocks, residual=residual, space_dim=0,
-                       normalized=True, injective=inj)
+                       normalized=True, injective=_injective(blocks))
 
 
 def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
@@ -254,14 +231,12 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
     if k not in q.vertices:
         raise ValueError(f"unknown vertex {k!r}")
     blocks = xi.blocks
-    res = _intertwine_residual(q, x1, x2, blocks)
+    res = _intertwine_residual(x1, x2, blocks)
     if res > tol * (1.0 + x1.norm() + x2.norm()):
         raise ValueError(f"intertwiner residual too large ({res:.3e})")
-    for v in q.vertices:
-        if not _full_col_rank(blocks[v]):
-            raise ValueError("intertwiner is not injective")
-    if x2.dims != {v: x1.dims[v] + (1 if v == k else 0) for v in q.vertices}:
-        raise ValueError("dimension vectors must differ by one at the given vertex")
+    if not _injective(blocks):
+        raise ValueError("intertwiner is not injective")
+    _check_step(x1, x2, k)
 
     d1, d2 = x1.dims, x2.dims
     # unit vector spanning the complement of the image at the modified vertex
@@ -318,9 +293,9 @@ def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
 
 
 # radial decay toward a non-closed-orbit limit is only polynomial in time, so
-# the zero-weight flow gets a large step cap (the accuracy control shrinks the
-# step whenever the field is active) and a long horizon
-AFFINE_FLOW_DEFAULTS = FlowOptions(dt_init=64.0, max_time=5e5, max_steps=1_000_000)
+# the zero-weight flow starts with a large step (the accuracy control shrinks
+# it whenever the field is active) and gets a long horizon
+AFFINE_FLOW_DEFAULTS = FlowOptions(dt_init=64.0, max_time=5e5)
 
 
 def snap_rep(x: Representation, tol: float) -> Representation:
@@ -471,9 +446,7 @@ def handsaw_hecke_check(x1: Representation, x2: Representation, k: str,
     std = _pinned_membership(y1, y2, k, seed, tol)
     if std is None:
         return None
-    q = x1.quiver
-    blocks = {v: std.blocks[v].conj().T for v in q.vertices}
-    residual = _intertwine_residual(q, x2, x1, blocks)
-    surj = all(_full_row_rank(blocks[v]) for v in q.vertices)
-    return Intertwiner(blocks=blocks, residual=residual, space_dim=std.space_dim,
-                       normalized=True, surjective=surj)
+    blocks = {v: b.conj().T for v, b in std.blocks.items()}
+    # a block is surjective iff its adjoint, the block found above, is injective
+    return Intertwiner(blocks=blocks, residual=_intertwine_residual(x2, x1, blocks),
+                       space_dim=std.space_dim, normalized=True, surjective=std.injective)

@@ -12,6 +12,13 @@ column; a block's columns are contiguous.  Every block question is a boolean
 mask on an edge matrix read in the eigenbases at its two ends, B_h^* A B_t; as
 the bases are unitary, the norm outside the mask is the distance of A from the
 maps the mask allows.
+
+Under (x, alpha) -> (c x, c^2 alpha) a tolerance must scale with the degree of
+what it compares: x has degree 1; mu, alpha and the eigenvalues of
+i(mu - alpha) and of the Hessian have degree 2; the gradient has degree 3.  So
+every eigenvalue decision (clustering, slope match, sign, leak mask) uses the
+gap cluster_tol * max(|x|^2, max |alpha|), and the gradient gate is
+grad_factor * grad_tol * max(1, |x|)^3.
 """
 from __future__ import annotations
 
@@ -90,6 +97,14 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
+def _eigen_gap(x: Representation, alpha, tols: ClassifyTols) -> float:
+    """The degree-2 gap of the module docstring."""
+    with np.errstate(over="ignore"):
+        n = x.norm()
+    # a float product overflows to inf where a power would raise
+    return tols.cluster_tol * max([n * n] + [abs(float(a)) for a in alpha.values()])
+
+
 def _outside(q, bases, labels, mats, inside) -> float:
     """Norm of the entries of the edge matrices, read in the eigenbases at
     their two ends, that ``inside(head labels, tail labels)`` does not keep."""
@@ -120,7 +135,8 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
         vals.append(w)
         bases.append(v)
     flat = np.concatenate(vals)
-    groups = _cluster(flat, tols.cluster_tol)
+    gap = _eigen_gap(x, alpha, tols)
+    groups = _cluster(flat, gap)
     label = np.empty(len(flat), dtype=int)
     for j, grp in enumerate(groups):
         label[grp] = j
@@ -135,7 +151,7 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
 
     for lam, blk in zip(eigenvalues, blocks):
         s = slope_float(alpha, blk)
-        if abs(lam - s) >= tols.cluster_tol:
+        if abs(lam - s) > gap:
             raise ValueError(
                 f"eigenvalue {lam:.6e} does not match block slope {s:.6e}"
             )
@@ -170,20 +186,19 @@ def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None)
     sym_defect = float(np.max(np.abs(H - H.T))) if H.size else 0.0
     w, V = np.linalg.eigh((H + H.T) / 2.0)
     shapes = edge_shapes(x.quiver, x.dims)
-    groups = _cluster(w, tols.cluster_tol)
+    gap = _eigen_gap(x, alpha, tols)
     spectrum = []
-    for grp in groups:
+    for grp in _cluster(w, gap):
         lam = float(np.mean(w[grp]))
         tangents = [unravel_real(V[:, i], shapes) for i in grp]
-        if lam < -tols.cluster_tol:
-            _check_negative_vectors(x, alpha, profile, lam, tangents, tols)
+        if lam < -gap:
+            _check_negative_vectors(x, profile, lam, tangents, gap)
         spectrum.append((lam, len(grp), tangents))
-    profile.neg_spectrum = [(lam, mult) for lam, mult, _ in spectrum
-                            if lam < -tols.cluster_tol]
+    profile.neg_spectrum = [(lam, mult) for lam, mult, _ in spectrum if lam < -gap]
     return spectrum, sym_defect, profile
 
 
-def _check_negative_vectors(x, alpha, profile: CriticalProfile, lam, tangents, tols):
+def _check_negative_vectors(x, profile: CriticalProfile, lam, tangents, gap):
     lams = np.array(profile.eigenvalues)
     for X in tangents:
         nX = mats_norm(X)
@@ -194,7 +209,7 @@ def _check_negative_vectors(x, alpha, profile: CriticalProfile, lam, tangents, t
                 f"negative eigenvector fails kernel conditions ({max(a1, a2):.3e})"
             )
         res = _outside(x.quiver, profile.bases, profile.labels, X,
-                       lambda k, j: np.abs((lams[k] - lams[j]) - lam) < tols.cluster_tol)
+                       lambda k, j: np.abs((lams[k] - lams[j]) - lam) < gap)
         if res > 1e-8 * (1.0 + nX):
             raise ValueError(
                 f"negative eigenvector leaks out of its predicted blocks ({res:.3e})"

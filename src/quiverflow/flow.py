@@ -5,8 +5,10 @@ step is kept iff the energy does not increase (within 1e-12 relative slack),
 the constraint increment stays below drift_tol * dt, and the full-step vs
 two-half-steps discrepancy stays below step_tol.  The half-step composition
 is what gets propagated.  Rejection halves dt; five consecutive accepts grow
-it by 1.5x, capped at dt_init.  No projection back onto the constraint set
-is performed: drift is monitored and reported.
+it by 1.5x.  dt_init is only the first step: the three acceptance tests bound
+every later one.  A step that would pass max_time is cut to end there.  No
+projection back onto the constraint set is performed: drift is monitored and
+reported.
 
 The step loop works on bare lists of edge matrices.  The gradient at the
 current state is computed once, when the state is accepted, and serves as
@@ -159,10 +161,12 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         if t >= opts.max_time:
             status = "max_time"
             break
+        last = t + dt >= opts.max_time
+        h = opts.max_time - t if last else dt
         with np.errstate(over="ignore", invalid="ignore"):
-            full = _rk4(field, x, k1, dt)
-            mid = _rk4(field, x, k1, dt / 2.0)
-            trial = _rk4(field, mid, field(mid), dt / 2.0)
+            full = _rk4(field, x, k1, h)
+            mid = _rk4(field, x, k1, h / 2.0)
+            trial = _rk4(field, mid, field(mid), h / 2.0)
             # an overflowing stage leaves inf/NaN in full or trial (mid feeds
             # trial), so est is inf/NaN and fails the comparison
             est = mats_norm([a - b for a, b in zip(full, trial)])
@@ -174,17 +178,17 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
                 # the constraint increment gets a roundoff floor so shrinking dt
                 # cannot make the bound unsatisfiable; the floor keeps cumulative
                 # drift below 1e-8 * scale across the step budget
-                drift_cap = opts.drift_tol * dt + 1e-14 * (1.0 + scale ** 2)
+                drift_cap = opts.drift_tol * h + 1e-14 * (1.0 + scale ** 2)
                 ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and (c_t - c <= drift_cap)
             if ok:
                 k1 = field(trial)
         if ok:
             x, E, c = trial, E_t, c_t
-            t += dt
+            t = opts.max_time if last else t + dt
             steps += 1
             run += 1
             if run >= 5:
-                dt = min(dt * 1.5, opts.dt_init)
+                dt *= 1.5
                 run = 0
             g = mats_norm(k1)
             scale = mats_norm(x)
@@ -192,7 +196,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
                 samples.append((t, E, g, c))
         else:
             run = 0
-            dt *= 0.5
+            dt = 0.5 * h
             if dt < opts.dt_min:
                 status = "step_underflow"
                 break

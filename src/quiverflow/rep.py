@@ -296,13 +296,6 @@ def d_moment_complex(x: Representation, X: Mats) -> Mats:
     return out
 
 
-def central_element(quiver: Quiver, alpha: Mapping, dims: Mapping[str, int]) -> Mats:
-    """The element (i alpha_j id_j) of the compact Lie algebra."""
-    if set(alpha) != set(dims):
-        raise ValueError("weight keys must match dimension-vector keys")
-    return [1j * float(alpha[v]) * np.eye(dims[v], dtype=complex) for v in quiver.vertices]
-
-
 def moment_minus_alpha(x: Representation, alpha: Mapping) -> Mats:
     """mu(x) minus the central element, subtracted on the diagonal of the
     fresh moment-map blocks."""

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from quiverflow.correspond import (
-    _condition_matrix,
-    _xi_from_vec,
+    _hom_equations,
     affine_project,
     flowline_to_hecke,
     handsaw_adjoint,
@@ -18,6 +17,7 @@ from quiverflow.correspond import (
 )
 from quiverflow.critical import negative_slice_basis, stratum_codim
 from quiverflow.fixtures import (
+    chain2,
     chain2_rep,
     framed_a1,
     framed_a1_rep,
@@ -26,6 +26,7 @@ from quiverflow.fixtures import (
     hs2,
     hs2_rep,
     hs3,
+    jordan,
     jordan_rep,
 )
 from quiverflow.quiver import Quiver, canonical_stability
@@ -49,11 +50,14 @@ def test_condition_matrix_reproduces_residual(pinned):
     d1, d2 = {"1": 2, "2": 1, "inf": 1}, {"1": 3, "2": 1, "inf": 1}
     rng = np.random.default_rng(4)
     x1, x2 = random_rep(q, d1, rng), random_rep(q, d2, rng)
-    M, rhs, layout, total = _condition_matrix(x1, x2, pinned)
+    M, rhs, blocks = _hom_equations(x1, x2, pinned)
+    total = sum(d2[v] * d1[v] for v in q.vertices if v != pinned)
     assert M.shape == (len(rhs), total)
     for _ in range(3):
         vec = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        xi = _xi_from_vec(layout, vec, d1, d2, pinned)
+        xi = blocks(vec)
+        if pinned is not None:
+            assert np.array_equal(xi[pinned], np.eye(d2[pinned], d1[pinned]))
         want = np.concatenate([(xi[q.head(e)] @ x1.mats[e] - x2.mats[e] @ xi[q.tail(e)]).ravel()
                                for e in range(q.nedges)])
         np.testing.assert_allclose(M @ vec + rhs, want, rtol=0, atol=1e-12)
@@ -83,6 +87,13 @@ def test_is_isomorphic_conjugated_diagonal():
     assert ok
     m = wit[0] @ (g @ d @ np.linalg.inv(g)) @ np.linalg.inv(wit[0])
     assert np.max(np.abs(m - d)) < 1e-12
+    # Hom between zero representations is 0, and its zero element is invertible
+    for x in (Representation.zero(jordan(), {"1": 0}),
+              Representation.zero(chain2(), {"1": 0, "2": 0})):
+        for strict in (False, True):
+            ok, wit = is_isomorphic(x, x, strict=strict)
+            assert ok and [w.shape for w in wit] == [(0, 0)] * len(x.quiver.vertices)
+        assert lagrangian_check(x, x).related
 
 
 def test_is_isomorphic_rejects_jordan_block():

@@ -131,7 +131,7 @@ def test_negative_slice_needs_canonical_weights():
         negative_slice_basis(x, {"1": 2, "inf": -2})
 
 
-@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("c", [5e-4, 1e-3, 1.0, 1e3])
 def test_critical_type_and_negative_spectrum_scale_covariant(c):
     # (x, alpha) -> (c x, c^2 alpha) scales mu - alpha and the Hessian by c^2
     # and the gradient by c^3, so the type and the scaled spectrum stay put

@@ -71,6 +71,13 @@ def test_budget_statuses():
     assert flow(x0, alpha, FlowOptions(max_steps=2)).status == "max_steps"
 
 
+def test_flow_ends_exactly_at_max_time():
+    # the step that would pass the horizon is cut to end on it
+    r = flow(framed_a1_rep(0, 3), framed_a1_weights(), FlowOptions(dt_init=0.1, max_time=0.25))
+    assert r.status == "max_time"
+    assert r.time == 0.25
+
+
 @pytest.mark.parametrize("bad", [
     {"dt_init": 0.0}, {"dt_init": -1.0}, {"dt_init": float("inf")},
     {"dt_min": 0.0}, {"dt_min": 1.0}, {"max_steps": -5}, {"sample_stride": 0},

@@ -7,7 +7,6 @@ from quiverflow.fixtures import (
     chain2_weights,
     framed_a1,
     framed_a1_rep,
-    framed_a1_weights,
     jordan_rep,
     random_doubled,
     random_plain,
@@ -17,7 +16,6 @@ from quiverflow.quiver import Quiver
 from quiverflow.rep import (
     Representation,
     add_tangent,
-    central_element,
     d_moment_complex,
     d_moment_real,
     direct_sum,
@@ -67,13 +65,6 @@ def test_moment_head_tail_split():
     assert_allclose(mu[0], [[2.0j]], atol=1e-14)
     assert_allclose(mu[1], [[-2.0j]], atol=1e-14)
     assert energy(x, chain2_weights()) == pytest.approx(1.0)
-
-
-def test_central_element():
-    q = framed_a1()
-    ce = central_element(q, framed_a1_weights(), {"1": 1, "inf": 1})
-    assert_allclose(ce[0], [[1j]])
-    assert_allclose(ce[1], [[-1j]])
 
 
 def test_moment_complex_values():
