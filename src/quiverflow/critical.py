@@ -18,7 +18,10 @@ what it compares: x has degree 1; mu, alpha and the eigenvalues of
 i(mu - alpha) and of the Hessian have degree 2; the gradient has degree 3.  So
 every eigenvalue decision (clustering, slope match, sign, leak mask) uses the
 gap cluster_tol * max(|x|^2, max |alpha|), and the gradient gate is
-grad_factor * grad_tol * max(1, |x|)^3.
+grad_factor * grad_tol * max(1, |x|)^3.  A negative Hessian eigenvector X may
+have |rho*_x X| up to 1e-8 |X| |x| and leak up to 1e-8 |X| out of its blocks.
+``_outside`` and the negative-vector checks take tangents with a leading batch
+axis, one batch per eigenvalue cluster of the Hessian.
 """
 from __future__ import annotations
 
@@ -88,13 +91,8 @@ class CriticalProfile:
 def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     """Single-linkage clustering of sorted reals with the given gap."""
     order = np.argsort(values)
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and values[idx] - values[groups[-1][-1]] <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g, dtype=int) for g in groups]
+    cuts = np.flatnonzero(~(np.diff(values[order]) <= gap)) + 1
+    return np.split(order, cuts) if len(order) else []
 
 
 def _eigen_gap(x: Representation, alpha, tols: ClassifyTols) -> float:
@@ -105,15 +103,16 @@ def _eigen_gap(x: Representation, alpha, tols: ClassifyTols) -> float:
     return tols.cluster_tol * max([n * n] + [abs(float(a)) for a in alpha.values()])
 
 
-def _outside(q, bases, labels, mats, inside) -> float:
+def _outside(q, bases, labels, mats, inside):
     """Norm of the entries of the edge matrices, read in the eigenbases at
-    their two ends, that ``inside(head labels, tail labels)`` does not keep."""
+    their two ends, that ``inside(head labels, tail labels)`` does not keep;
+    one norm per index of the matrices' leading batch axes."""
     total = 0.0
     for (t, h), m in zip(q.ends, mats):
         piece = bases[h].conj().T @ m @ bases[t]
         keep = inside(labels[h][:, None], labels[t][None, :])
-        total += float(np.sum(np.abs(piece[~keep]) ** 2))
-    return float(np.sqrt(total))
+        total = total + np.sum(np.abs(piece[..., ~keep]) ** 2, axis=-1)
+    return np.sqrt(total)
 
 
 def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None) -> CriticalProfile:
@@ -176,6 +175,8 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
 def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None):
     """Eigenvalues of the energy Hessian with multiplicities and eigenvectors.
 
+    Each eigenvalue cluster comes as (lambda, mult, tangents); a tangent is a
+    per-edge list of views into the cluster's batch of unravelled vectors.
     Negative eigenvectors are verified to satisfy the critical-point kernel
     conditions (both compact adjoints vanish) and to live in the Hom^1 blocks
     predicted by the profile.
@@ -190,30 +191,29 @@ def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None)
     spectrum = []
     for grp in _cluster(w, gap):
         lam = float(np.mean(w[grp]))
-        tangents = [unravel_real(V[:, i], shapes) for i in grp]
+        batch = unravel_real(V[:, grp].T, shapes)
         if lam < -gap:
-            _check_negative_vectors(x, profile, lam, tangents, gap)
-        spectrum.append((lam, len(grp), tangents))
+            _check_negative_vectors(x, profile, lam, batch, gap)
+        spectrum.append((lam, len(grp), [list(X) for X in zip(*batch)]))
     profile.neg_spectrum = [(lam, mult) for lam, mult, _ in spectrum if lam < -gap]
     return spectrum, sym_defect, profile
 
 
-def _check_negative_vectors(x, profile: CriticalProfile, lam, tangents, gap):
+def _batch_norm(mats):
+    return np.sqrt(sum(np.sum(np.abs(m) ** 2, axis=(-2, -1)) for m in mats))
+
+
+def _check_negative_vectors(x, profile: CriticalProfile, lam, X, gap):
     lams = np.array(profile.eigenvalues)
-    for X in tangents:
-        nX = mats_norm(X)
-        a1 = mats_norm(inf_action_adjoint(x, X, flavor="compact"))
-        a2 = mats_norm(inf_action_adjoint(x, mult_i(X), flavor="compact"))
-        if max(a1, a2) > 1e-8 * (1.0 + nX) * max(1.0, x.norm()):
-            raise ValueError(
-                f"negative eigenvector fails kernel conditions ({max(a1, a2):.3e})"
-            )
-        res = _outside(x.quiver, profile.bases, profile.labels, X,
-                       lambda k, j: np.abs((lams[k] - lams[j]) - lam) < gap)
-        if res > 1e-8 * (1.0 + nX):
-            raise ValueError(
-                f"negative eigenvector leaks out of its predicted blocks ({res:.3e})"
-            )
+    nX = _batch_norm(X)
+    ker = np.maximum(_batch_norm(inf_action_adjoint(x, X, flavor="compact")),
+                     _batch_norm(inf_action_adjoint(x, mult_i(X), flavor="compact")))
+    if np.any(ker > 1e-8 * nX * x.norm()):
+        raise ValueError(f"negative eigenvector fails kernel conditions ({np.max(ker):.3e})")
+    res = _outside(x.quiver, profile.bases, profile.labels, X,
+                   lambda k, j: np.abs((lams[k] - lams[j]) - lam) < gap)
+    if np.any(res > 1e-8 * nX):
+        raise ValueError(f"negative eigenvector leaks out of its predicted blocks ({np.max(res):.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
 
     A = matrix_of(lambda C: slice_conditions(x, to_tangent(C)), coeff_shapes)
     null = null_space(A, tols.rank_tol)
-    basis = [to_tangent(unravel_real(vec, coeff_shapes)) for vec in null.T]
+    basis = [list(X) for X in zip(*to_tangent(unravel_real(null.T, coeff_shapes)))]
     for delta in basis:
         drift = mats_norm(moment_complex(add_tangent(x, delta))) if q.pairing else 0.0
         if drift > 1e-9 * (1.0 + x.norm()) ** 2:

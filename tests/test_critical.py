@@ -3,6 +3,8 @@ import pytest
 
 from quiverflow.critical import (
     ClassifyTols,
+    _check_negative_vectors,
+    _cluster,
     classify_critical,
     hessian_spectrum,
     negative_slice_basis,
@@ -23,8 +25,11 @@ from quiverflow.rep import (
     add_tangent,
     energy,
     group_act,
+    hessian_apply,
+    inf_action_adjoint,
     mats_norm,
     mats_scale,
+    mats_sub,
 )
 
 
@@ -181,3 +186,106 @@ def test_stratum_codim_values():
 def test_classify_tols_reject_bad_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         ClassifyTols(**bad)
+
+
+def _w2_saddle(c=1.0):
+    """framed_a1w2_critical(sqrt 1.5, sqrt 1.5) and its canonical weights,
+    scaled as (c x, c^2 alpha)."""
+    x = framed_a1w2_critical(np.sqrt(1.5), np.sqrt(1.5))
+    alpha = canonical_stability(x.quiver, x.dims)
+    y = Representation(x.quiver, x.dims, mats_scale(c, x.mats))
+    return y, {v: c * c * float(a) for v, a in alpha.items()}
+
+
+def _in_negative_blocks(x, prof, lam):
+    """The unit vector with all-ones entries, in the eigenbases, on the Hom^1
+    blocks where lam is predicted; at the w = 2 saddle rho* does not kill it."""
+    lams = np.array(prof.eigenvalues)
+    X = []
+    for (t, h), m in zip(x.quiver.ends, x.mats):
+        diff = lams[prof.labels[h]][:, None] - lams[prof.labels[t]][None, :]
+        keep = np.abs(diff - lam) < 1e-6 * abs(lam)
+        X.append(prof.bases[h] @ keep.astype(complex) @ prof.bases[t].conj().T)
+    return mats_scale(1.0 / mats_norm(X), X)
+
+
+def _batch(tangents):
+    return [np.stack(edge) for edge in zip(*tangents)]
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1.0])
+def test_kernel_gate_is_relative_to_scale(c):
+    # |rho*_x X| has degree 1 in x; an absolute floor let this vector through
+    # once |rho*_x X| = 0.71 |x| fell below it, near c = 1e-9
+    x, alpha = _w2_saddle(c)
+    prof = classify_critical(x, alpha)
+    lam = -1.5 * c * c
+    X = _in_negative_blocks(x, prof, lam)
+    assert mats_norm(inf_action_adjoint(x, X)) > 0.5 * x.norm()
+    with pytest.raises(ValueError, match="fails kernel conditions"):
+        _check_negative_vectors(x, prof, lam, _batch([X]), 1e-6 * c * c)
+
+
+@pytest.mark.parametrize("c", [1e-9, 5e-4, 1e-3, 1.0, 1e3])
+def test_negative_spectrum_scale_covariant_down_to_tiny_scales(c):
+    for x, alpha in [(framed_a1_rep(0.0, np.sqrt(2)), framed_a1_weights()),
+                     _w2_saddle(),
+                     (framed_a1_rep(0.0, 0.0), framed_a1_weights()),
+                     (chain2_rep(0.0), chain2_weights())]:
+        _, _, ref = hessian_spectrum(x, alpha)
+        y = Representation(x.quiver, x.dims, mats_scale(c, x.mats))
+        _, _, prof = hessian_spectrum(y, {v: c * c * float(a) for v, a in alpha.items()})
+        assert prof.critical_type == ref.critical_type
+        assert [(lam / c ** 2, m) for lam, m in prof.neg_spectrum] == [
+            (pytest.approx(lam), m) for lam, m in ref.neg_spectrum]
+
+
+def test_batched_negative_check_tests_every_vector():
+    x, alpha = _w2_saddle()
+    spectrum, _, prof = hessian_spectrum(x, alpha)
+    [(lam, tangents)] = [(lam, t) for lam, _, t in spectrum if lam < -1e-6]
+    assert len(tangents) == 2
+    _check_negative_vectors(x, prof, lam, _batch(tangents), 1e-6)
+    # a bad vector as the last row: one inside the blocks but outside the
+    # kernel, one in the kernel (A vanishes on the edges into vertex 1) but
+    # outside the blocks
+    off_kernel = _in_negative_blocks(x, prof, lam)
+    off_blocks = [np.zeros_like(m) for m in x.mats]
+    off_blocks[0][0, 0] = 1.0
+    assert mats_norm(inf_action_adjoint(x, off_blocks)) == 0.0
+    for bad, msg in ((off_kernel, "fails kernel conditions"), (off_blocks, "leaks out")):
+        with pytest.raises(ValueError, match=msg):
+            _check_negative_vectors(x, prof, lam, _batch(tangents + [bad]), 1e-6)
+
+
+def _doubled_triangle_zero():
+    q = double_quiver(Quiver(vertices=("1", "2", "3"),
+                             edges=(("1", "2"), ("2", "3"), ("1", "3"))))
+    return Representation.zero(q, {"1": 2, "2": 2, "3": 2}), {"1": 1, "2": 2, "3": -3}
+
+
+@pytest.mark.parametrize("case", ["w2_saddle", "triangle_zero"])
+def test_hessian_tangents_match_their_eigenvalues(case):
+    x, alpha = _w2_saddle() if case == "w2_saddle" else _doubled_triangle_zero()
+    spectrum, _, _ = hessian_spectrum(x, alpha)
+    assert sum(mult for _, mult, _ in spectrum) == 2 * sum(m.size for m in x.mats)
+    for lam, mult, tangents in spectrum:
+        assert len(tangents) == mult
+        for X in tangents:
+            assert mats_norm(X) == pytest.approx(1.0, abs=1e-12)
+            resid = mats_norm(mats_sub(hessian_apply(x, alpha, X), mats_scale(lam, X)))
+            assert resid <= 1e-9 * max(1.0, abs(lam))
+
+
+def test_cluster_matches_single_linkage_loop():
+    rng = np.random.default_rng(0)
+    near_ints = rng.integers(-3, 4, 40) + 1e-7 * rng.standard_normal(40)
+    for values in (np.zeros(0), np.array([2.0]), near_ints, np.repeat([0.0, 1.0], 5)):
+        # reference: walk the sorted values and open a group at every step > gap
+        ref: list[list[int]] = []
+        for idx in np.argsort(values):
+            if ref and values[idx] - values[ref[-1][-1]] <= 1e-6:
+                ref[-1].append(int(idx))
+            else:
+                ref.append([int(idx)])
+        assert [g.tolist() for g in _cluster(values, 1e-6)] == ref
