@@ -32,7 +32,7 @@ import numpy as np
 from .quiver import canonical_stability
 from .rep import (
     Representation,
-    add_tangent,
+    _view,
     d_moment_complex,
     edge_shapes,
     grad_energy,
@@ -268,11 +268,14 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
 
     A = matrix_of(lambda C: slice_conditions(x, to_tangent(C)), coeff_shapes)
     null = null_space(A, tols.rank_tol)
-    basis = [list(X) for X in zip(*to_tangent(unravel_real(null.T, coeff_shapes)))]
-    for delta in basis:
-        drift = mats_norm(moment_complex(add_tangent(x, delta))) if q.pairing else 0.0
-        if drift > 1e-9 * (1.0 + x.norm()) ** 2:
-            raise ValueError(f"slice vector leaves the constraint set ({drift:.3e})")
+    deltas = to_tangent(unravel_real(null.T, coeff_shapes))
+    if q.pairing is not None:
+        # each delta is a unit vector (orthonormal coefficients, isometric
+        # to_tangent), so the gate is 1e-9 (|x| + |delta|)^2: degree 2, as mu_C
+        drift = _batch_norm(moment_complex(_view(x, [m + d for m, d in zip(x.mats, deltas)])))
+        if np.any(drift > 1e-9 * (1.0 + x.norm()) ** 2):
+            raise ValueError(f"slice vector leaves the constraint set ({np.max(drift):.3e})")
+    basis = [list(X) for X in zip(*deltas)]
     profile.neg_slice_dim = len(basis)
     return basis, profile
 

@@ -30,6 +30,7 @@ import numpy as np
 from .quiver import Quiver, handsaw_roles
 from .rep import (
     Representation,
+    _view,
     energy,
     grad_energy,
     mats_norm,
@@ -37,6 +38,8 @@ from .rep import (
 )
 
 _ENERGY_SLACK = 1e-12
+# every tenth accepted step goes into the trajectory, plus the first and last
+_SAMPLE_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,10 @@ class FlowOptions:
     max_time: float = 1e4
     max_steps: int = 1_000_000
     constraint: str = "auto"  # auto | none | doubled | handsaw
-    sample_stride: int = 10
 
     def __post_init__(self):
-        # a zero dt_init accepts empty steps until the step budget runs out, an
-        # infinite one is halved forever, and a zero stride divides by zero
+        # a zero dt_init accepts empty steps until the step budget runs out, and
+        # an infinite one is halved forever
         if not (np.isfinite(self.dt_init) and self.dt_init > 0):
             raise ValueError(f"dt_init must be finite and positive, got {self.dt_init!r}")
         if not 0 < self.dt_min <= self.dt_init:
@@ -64,8 +66,6 @@ class FlowOptions:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be nonnegative, got {self.max_steps!r}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be at least 1, got {self.sample_stride!r}")
 
 
 @dataclass
@@ -105,15 +105,6 @@ def constraint_norm(x: Representation, kind: str) -> float:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _at(x0: Representation, mats: list[np.ndarray]) -> Representation:
-    """Stage matrices as a Representation over x0's quiver and dims, skipping
-    __post_init__: their shapes are fixed by construction, and the step-error
-    test rejects an attempt with a non-finite stage."""
-    x = object.__new__(Representation)
-    x.quiver, x.dims, x.mats = x0.quiver, x0.dims, mats
-    return x
-
-
 def _rk4(field, mats: list[np.ndarray], k1: list[np.ndarray], dt: float) -> list[np.ndarray]:
     """One classical 4th-order step from mats, where the slope is k1."""
     k2 = field([m + (dt / 2.0) * k for m, k in zip(mats, k1)])
@@ -133,7 +124,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     start = x0.copy()
 
     def field(mats):
-        return [-1.0 * g for g in grad_energy(_at(start, mats), alpha)]
+        return [-1.0 * g for g in grad_energy(_view(start, mats), alpha)]
 
     x = start.mats
     t = 0.0
@@ -172,7 +163,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             est = mats_norm([a - b for a, b in zip(full, trial)])
             ok = est <= opts.step_tol * (1.0 + scale)
             if ok:
-                at_trial = _at(start, trial)
+                at_trial = _view(start, trial)
                 E_t = energy(at_trial, alpha)
                 c_t = constraint_norm(at_trial, kind)
                 # the constraint increment gets a roundoff floor so shrinking dt
@@ -192,7 +183,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
                 run = 0
             g = mats_norm(k1)
             scale = mats_norm(x)
-            if steps % opts.sample_stride == 0:
+            if steps % _SAMPLE_STRIDE == 0:
                 samples.append((t, E, g, c))
         else:
             run = 0

@@ -9,18 +9,28 @@ square matrices ordered like ``quiver.vertices``; the compact flavour is
 anti-Hermitian.  The real pairing on both edge and vertex data is
 sum of Re tr(M N*), and the complex structure acts entrywise by i.
 
-The real moment map is (1/2i) sum_a [A_a, A_a*] assembled per vertex: edge a
-contributes (1/2i) A_a A_a* at its head and -(1/2i) A_a* A_a at its tail.
-A stability parameter alpha enters as the central element (i alpha_j id_j).
+Edge-to-vertex assembly
+-----------------------
+The adjoint rho*, the real moment map, the complex moment map and their
+derivatives all send edge data to vertex data by one rule (Nakajima, Duke
+Math. J. 76, 1994, section 3): given matrices L_a and R_a on edges a, vertex
+i gets sum_{h(a)=i} L_a R_a - sum_{t(a)=i} R_a L_a.  So rho*_x(X) takes
+L = X and R = A*; the real moment map (1/2i) sum_a [A_a, A_a*] is (1/2i)
+rho*_x(A) in the full flavour; the complex moment map sum [A_a, B_abar] runs
+over the doubled pairs with L = A_a and R = B_abar.  ``_assemble`` is the one
+place that sums; it adds out of place, so leading batch axes broadcast.  A
+stability parameter alpha enters as the central element (i alpha_j id_j).
 
 Batches
 -------
 The real-linear kernels in the tangent data (``inf_action``,
-``inf_action_adjoint``, ``d_moment_complex``, ``hessian_apply``,
-``anti_hermitian_part``) and ``ravel_real``/``unravel_real`` accept tangent
-matrices with leading batch axes, shape (..., rows, cols); the base point
-stays unbatched.  The matrix of such a map is then one call on the identity
-batch of real coordinates instead of one call per unit vector.
+``inf_action_adjoint``, ``d_moment_real``, ``d_moment_complex``,
+``hessian_apply``, ``anti_hermitian_part``) and ``ravel_real``/
+``unravel_real`` accept tangent matrices with leading batch axes, shape
+(..., rows, cols); the base point stays unbatched.  The matrix of such a map
+is then one call on the identity batch of real coordinates instead of one
+call per unit vector.  ``moment_real`` and ``moment_complex`` take a batch of
+base points given as edge matrices through ``_view``.
 
 Numerical rank
 --------------
@@ -77,6 +87,15 @@ class Representation:
         dims = check_dims(quiver, dims)
         mats = [np.zeros(s, dtype=complex) for s in edge_shapes(quiver, dims)]
         return cls(quiver, dict(dims), mats)
+
+
+def _view(x: Representation, mats: Sequence[np.ndarray]) -> Representation:
+    """Edge matrices as a Representation over x's quiver and dims, without
+    validation: the caller fixes their shapes by construction, and they may
+    carry a leading batch axis."""
+    y = object.__new__(Representation)
+    y.quiver, y.dims, y.mats = x.quiver, x.dims, mats
+    return y
 
 
 def rep_distance(x: Representation, y: Representation) -> float:
@@ -217,6 +236,17 @@ def _bracket(q: Quiver, u: Sequence[np.ndarray], X: Sequence[np.ndarray]) -> Mat
     return [u[h] @ Xe - Xe @ u[t] for (t, h), Xe in zip(q.ends, X)]
 
 
+def _assemble(x: Representation, ends, L: Sequence[np.ndarray],
+              R: Sequence[np.ndarray]) -> Mats:
+    """The edge-to-vertex rule of the module docstring over the edges whose
+    (tail, head) positions are ``ends``."""
+    out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in x.quiver.vertices]
+    for (t, h), l, r in zip(ends, L, R):
+        out[h] = out[h] + l @ r
+        out[t] = out[t] - r @ l
+    return out
+
+
 def inf_action(x: Representation, u: Sequence[np.ndarray]) -> Mats:
     """rho_x(u): edge a gets u_head A_a - A_a u_tail."""
     return _bracket(x.quiver, u, x.mats)
@@ -230,14 +260,8 @@ def inf_action_adjoint(x: Representation, X: Mats, flavor: str = "compact") -> M
     """
     if flavor not in ("compact", "full"):
         raise ValueError("flavor must be 'compact' or 'full'")
-    q = x.quiver
-    out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    for (t, h), m, Xe in zip(q.ends, x.mats, X):
-        out[h] = out[h] + Xe @ m.conj().T
-        out[t] = out[t] - m.conj().T @ Xe
-    if flavor == "compact":
-        out = anti_hermitian_part(out)
-    return out
+    out = _assemble(x, x.quiver.ends, X, [_adj(m) for m in x.mats])
+    return anti_hermitian_part(out) if flavor == "compact" else out
 
 
 # ---------------------------------------------------------------------------
@@ -245,55 +269,35 @@ def inf_action_adjoint(x: Representation, X: Mats, flavor: str = "compact") -> M
 
 
 def moment_real(x: Representation) -> Mats:
-    """Per-vertex assembly of (1/2i) sum_a [A_a, A_a*]; anti-Hermitian."""
-    q = x.quiver
-    out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    for (t, h), m in zip(q.ends, x.mats):
-        out[h] += m @ m.conj().T
-        out[t] -= m.conj().T @ m
-    return [(1.0 / 2.0j) * u for u in out]
+    """(1/2i) sum_a [A_a, A_a*] per vertex, that is (1/2i) rho*_x(A); anti-Hermitian."""
+    return [(1.0 / 2.0j) * u for u in inf_action_adjoint(x, x.mats, flavor="full")]
 
 
 def d_moment_real(x: Representation, X: Mats) -> Mats:
-    """Derivative of the real moment map at x in direction X."""
-    q = x.quiver
-    out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    for (t, h), m, dm in zip(q.ends, x.mats, X):
-        out[h] += dm @ m.conj().T + m @ dm.conj().T
-        out[t] -= dm.conj().T @ m + m.conj().T @ dm
-    return [(1.0 / 2.0j) * u for u in out]
+    """Derivative of the real moment map at x in direction X: (1/2i)(R + R*)
+    with R = rho*_x(X) in the full flavour."""
+    return [(1.0 / 2.0j) * (u + _adj(u)) for u in inf_action_adjoint(x, X, flavor="full")]
 
 
-def _paired_edges(q: Quiver) -> tuple[tuple[int, int], ...]:
+def _paired_edges(q: Quiver, mats: Sequence[np.ndarray]):
+    """The (tail, head) positions of edge a of each doubled pair (a, abar),
+    with the pairs' matrices mats[a] and mats[abar]."""
     if q.pairing is None:
         raise ValueError("unpaired edge: quiver carries no doubling metadata")
-    return q.pairing
+    return ([q.ends[a] for a, _ in q.pairing], [mats[a] for a, _ in q.pairing],
+            [mats[ab] for _, ab in q.pairing])
 
 
 def moment_complex(x: Representation) -> Mats:
     """Per-vertex assembly of sum over pairs [A_a, B_abar]; needs pairing."""
-    q = x.quiver
-    pairs = _paired_edges(q)
-    out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    for a, ab in pairs:
-        A, B = x.mats[a], x.mats[ab]
-        t, h = q.ends[a]
-        out[h] += A @ B
-        out[t] -= B @ A
-    return out
+    return _assemble(x, *_paired_edges(x.quiver, x.mats))
 
 
 def d_moment_complex(x: Representation, X: Mats) -> Mats:
-    q = x.quiver
-    pairs = _paired_edges(q)
-    out = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
-    for a, ab in pairs:
-        A, B = x.mats[a], x.mats[ab]
-        dA, dB = X[a], X[ab]
-        t, h = q.ends[a]
-        out[h] = out[h] + (dA @ B + A @ dB)
-        out[t] = out[t] - (B @ dA + dB @ A)
-    return out
+    """Derivative of the complex moment map: the assemblies of (dA, B) and (A, dB)."""
+    ends, A, B = _paired_edges(x.quiver, x.mats)
+    _, dA, dB = _paired_edges(x.quiver, X)
+    return [u + v for u, v in zip(_assemble(x, ends, dA, B), _assemble(x, ends, A, dB))]
 
 
 def moment_minus_alpha(x: Representation, alpha: Mapping) -> Mats:
@@ -349,12 +353,7 @@ def embed_rep(x: Representation, big_dims: Mapping[str, int]) -> Representation:
     big = check_dims(x.quiver, big_dims)
     if any(big[v] < x.dims[v] for v in big):
         raise ValueError("target dimensions must dominate the representation")
-    out = Representation.zero(x.quiver, big)
-    q = x.quiver
-    for e in range(q.nedges):
-        h, t = x.dims[q.head(e)], x.dims[q.tail(e)]
-        out.mats[e][:h, :t] = x.mats[e]
-    return out
+    return direct_sum(x, Representation.zero(x.quiver, {v: big[v] - x.dims[v] for v in big}))
 
 
 def restrict_rep(x: Representation, small_dims: Mapping[str, int],

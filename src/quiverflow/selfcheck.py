@@ -38,7 +38,7 @@ from .oracles import fd_gradient, fd_hessian, thin_hn_type
 from .serde import rep_from_json, rep_to_json
 
 
-# step cap of the selfcheck flows: 21 energy samples at the default stride
+# step cap of the selfcheck flows: 21 energy samples at the flow's sample stride
 _FLOW_STEPS = 200
 
 

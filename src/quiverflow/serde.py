@@ -117,18 +117,16 @@ def _parse_entry(item) -> complex:
     raise ValueError(f"cannot parse matrix entry {item!r}")
 
 
-def _entry_to_json(z: complex):
-    return [float(z.real), float(z.imag)]
+def _matrix_to_json(m) -> list:
+    """Rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m).tolist()]
 
 
 def rep_to_json(x: Representation) -> dict:
-    mats = {}
-    for e, m in enumerate(x.mats):
-        mats[str(e)] = [[_entry_to_json(z) for z in row] for row in m.tolist()]
     return {
         "quiver": quiver_to_json(x.quiver),
         "dims": {v: int(d) for v, d in x.dims.items()},
-        "mats": mats,
+        "mats": {str(e): _matrix_to_json(m) for e, m in enumerate(x.mats)},
     }
 
 
@@ -157,8 +155,7 @@ def rep_from_json(obj: dict) -> Representation:
 
 
 def mats_to_json(mats) -> list:
-    return [[[_entry_to_json(z) for z in row] for row in np.asarray(m).tolist()]
-            for m in mats]
+    return [_matrix_to_json(m) for m in mats]
 
 
 def profile_to_json(profile) -> dict:
@@ -175,11 +172,8 @@ def profile_to_json(profile) -> dict:
 
 
 def intertwiner_to_json(xi) -> dict:
-    blocks = {}
-    for v, m in xi.blocks.items():
-        blocks[v] = [[_entry_to_json(z) for z in row] for row in np.asarray(m).tolist()]
     return {
-        "blocks": blocks,
+        "blocks": {v: _matrix_to_json(m) for v, m in xi.blocks.items()},
         "residual": float(xi.residual),
         "space_dim": int(xi.space_dim),
         "normalized": bool(xi.normalized),

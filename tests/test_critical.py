@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quiverflow import critical
 from quiverflow.critical import (
     ClassifyTols,
     _check_negative_vectors,
@@ -30,6 +31,7 @@ from quiverflow.rep import (
     mats_norm,
     mats_scale,
     mats_sub,
+    null_space,
 )
 
 
@@ -120,6 +122,40 @@ def test_negative_slice_with_isolated_vertex():
     x = Representation(q, dims, mats)
     basis, _ = negative_slice_basis(x, canonical_stability(q, dims))
     assert len(basis) == 2
+
+
+def test_slice_drift_gate_reads_every_vector(monkeypatch):
+    # the split critical point at w = 2, d = 2 (b_j = [sqrt(3/2), 0], a = 0),
+    # on the framed quiver with a loop at 1 whose pair carries scalars in the
+    # leading coordinate.  Without the loop every slice coefficient sits on a
+    # b edge and mu_C(x + delta) = 0 for all of them
+    q = double_quiver(crawley_boevey_frame(Quiver(vertices=("1",), edges=(("1", "1"),)),
+                                           {"1": 2}))
+    dims = {"1": 2, "inf": 1}
+    mats = [np.zeros((dims[q.head(e)], dims[q.tail(e)]), dtype=complex)
+            for e in range(q.nedges)]
+    for e, (t, h) in enumerate(q.edges):
+        if (t, h) == ("1", "inf"):
+            mats[e][0, 0] = np.sqrt(1.5)
+    for a, ab in q.pairing:
+        if q.edges[a] == ("1", "1"):
+            mats[a][0, 0], mats[ab][0, 0] = 0.7, 0.4j
+    x = Representation(q, dims, mats)
+    alpha = canonical_stability(q, dims)
+    basis, _ = negative_slice_basis(x, alpha)
+    assert len(basis) == 4
+    # the slice conditions stack the adjoint rows (one d x d block per vertex,
+    # real and imaginary parts) over the d mu_C rows
+    n_adjoint = 2 * sum(d * d for d in dims.values())
+
+    def with_bad_last_column(M, rank_tol):
+        _, s, Vh = np.linalg.svd(M[n_adjoint:])
+        assert s[0] > 0.5  # d mu_C(x) moves along Vh[0], a unit coefficient vector
+        return np.column_stack([null_space(M, rank_tol), Vh[0]])
+
+    monkeypatch.setattr(critical, "null_space", with_bad_last_column)
+    with pytest.raises(ValueError, match="leaves the constraint set"):
+        negative_slice_basis(x, alpha)
 
 
 def test_negative_slice_at_f1_saddle():

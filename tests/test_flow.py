@@ -80,7 +80,7 @@ def test_flow_ends_exactly_at_max_time():
 
 @pytest.mark.parametrize("bad", [
     {"dt_init": 0.0}, {"dt_init": -1.0}, {"dt_init": float("inf")},
-    {"dt_min": 0.0}, {"dt_min": 1.0}, {"max_steps": -5}, {"sample_stride": 0},
+    {"dt_min": 0.0}, {"dt_min": 1.0}, {"max_steps": -5},
     {"grad_tol": 0.0}, {"drift_tol": -1e-8}, {"step_tol": float("nan")},
     {"max_time": float("inf")},
 ])

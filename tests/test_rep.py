@@ -15,6 +15,7 @@ from quiverflow.oracles import fd_gradient, fd_hessian
 from quiverflow.quiver import Quiver
 from quiverflow.rep import (
     Representation,
+    _view,
     add_tangent,
     d_moment_complex,
     d_moment_real,
@@ -181,6 +182,30 @@ def test_moment_derivatives_linearize():
     fd_c = [(a - b) / h for a, b in zip(moment_complex(xp), moment_complex(x))]
     an_c = d_moment_complex(x, X)
     assert mats_norm([a - b for a, b in zip(fd_c, an_c)]) <= 1e-5
+
+
+def test_edge_to_vertex_kernels_are_batch_safe():
+    # every kernel built on the one edge-to-vertex assembly keeps a leading
+    # batch axis and gives, per index, the unbatched result
+    x, _ = random_doubled(4)
+    rng = np.random.default_rng(4)
+    shapes = edge_shapes(x.quiver, x.dims)
+    batch = [np.stack(edge) for edge in zip(*(random_mats(shapes, rng) for _ in range(3)))]
+    kernels = {
+        "inf_action_adjoint compact": lambda X: inf_action_adjoint(x, X),
+        "inf_action_adjoint full": lambda X: inf_action_adjoint(x, X, flavor="full"),
+        "d_moment_real": lambda X: d_moment_real(x, X),
+        "d_moment_complex": lambda X: d_moment_complex(x, X),
+        "moment_real": lambda X: moment_real(_view(x, X)),
+        "moment_complex": lambda X: moment_complex(_view(x, X)),
+    }
+    for name, kernel in kernels.items():
+        got = kernel(batch)
+        for k in range(3):
+            want = kernel([m[k] for m in batch])
+            for g, w in zip(got, want):
+                assert g.shape == (3,) + w.shape, name
+                assert_allclose(g[k], w, rtol=1e-13, atol=1e-13, err_msg=name)
 
 
 def test_unitary_equivariance():
