@@ -27,7 +27,6 @@ from .rep import (
     inf_action,
     inf_action_adjoint,
     moment_complex,
-    moment_minus_alpha,
     moment_real,
     random_rep,
     restrict_rep,
@@ -69,8 +68,7 @@ __all__ = [
     "reverse_quiver", "validate_quiver",
     "Representation", "direct_sum", "embed_rep", "energy", "grad_energy", "grad_norm",
     "group_act", "hessian_apply", "hessian_matrix", "inf_action", "inf_action_adjoint",
-    "moment_complex", "moment_minus_alpha", "moment_real", "random_rep", "restrict_rep",
-    "rep_distance",
+    "moment_complex", "moment_real", "random_rep", "restrict_rep", "rep_distance",
     "FlowOptions", "FlowResult", "flow", "trajectory_csv",
     "ClassifyTols", "CriticalProfile", "classify_critical", "hessian_spectrum",
     "negative_slice_basis", "stratum_codim",

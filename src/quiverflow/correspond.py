@@ -37,6 +37,8 @@ from .rep import (
 from .critical import slice_conditions
 from .flow import FlowOptions, flow
 
+_TRIALS = 8  # seeded draws of the generic-element search after its start point
+
 
 @dataclass
 class Intertwiner:
@@ -110,13 +112,13 @@ def _hom_equations(x1: Representation, x2: Representation, pinned: str | None):
     return M, rhs, blocks
 
 
-def _generic_element(part, null, blocks, seed: int, accept, trials: int = 8):
+def _generic_element(part, null, blocks, seed: int, accept):
     """Blocks of the first element of part + span(null) that passes accept:
-    part itself, then part + null @ c for ``trials`` seeded complex normal
+    part itself, then part + null @ c for ``_TRIALS`` seeded complex normal
     draws c; None if every one fails.  An empty span leaves part alone."""
     rng = np.random.default_rng(seed)
     n = null.shape[1]
-    for trial in range(1 + trials if n else 1):
+    for trial in range(1 + _TRIALS if n else 1):
         vec = part
         if trial:
             vec = part + null @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -135,7 +137,7 @@ def intertwiner_space(x1: Representation, x2: Representation, rank_tol: float = 
 
 
 def is_isomorphic(x1: Representation, x2: Representation, seed: int = 0,
-                  trials: int = 8, tol: float = 1e-8, strict: bool = False):
+                  tol: float = 1e-8, strict: bool = False):
     """Search for an invertible intertwiner; returns (verdict, witness or None).
 
     The witness is a per-vertex group element with g . x1 = x2 up to ``tol``.
@@ -155,7 +157,7 @@ def is_isomorphic(x1: Representation, x2: Representation, seed: int = 0,
         return (_injective(b, 1e-12)
                 and rep_distance(group_act(list(b.values()), x1), x2) <= tol * (1.0 + x2.norm()))
     # the search starts at zero, the witness when every dimension is 0
-    found = _generic_element(np.zeros(M.shape[1], dtype=complex), null, blocks, seed, iso, trials)
+    found = _generic_element(np.zeros(M.shape[1], dtype=complex), null, blocks, seed, iso)
     return (False, None) if found is None else (True, list(found.values()))
 
 
@@ -397,7 +399,8 @@ def handsaw_constraint(x: Representation) -> list[np.ndarray]:
     """
     q = x.quiver
     n, b1, b2, a_edges, b_edges = _handsaw_tables(q)
-    reversed_chain = bool(b1) and q.tail(b1[1]) == "V2"
+    # B1_1 leaves the B2_1 loop's vertex on the forward chain, enters it reversed
+    reversed_chain = bool(b1) and q.head(b1[1]) == q.tail(b2[1])
     out = []
     for kk in range(1, n - 1):
         B1 = x.mats[b1[kk]]

@@ -1,25 +1,26 @@
 """Critical-point analysis: block classification, Hessian spectra, slices.
 
-At a critical point the Hermitian element i(mu - alpha) is block scalar; its
-per-vertex eigenspaces split the representation into sub-blocks whose
-eigenvalue equals the slope of their dimension vector.  The Hessian acts on a
-Hom^1 block mapping the slope-s block into the slope-t block with eigenvalue
-t - s, so the negative directions point from larger into smaller slope.
+At a critical point the Hermitian element H = i(mu - alpha) of ``rep`` is
+block scalar; its per-vertex eigenspaces split the representation into
+sub-blocks whose eigenvalue equals the slope of their dimension vector.  The
+Hessian acts on a Hom^1 block mapping the slope-s block into the slope-t
+block with eigenvalue t - s, so the negative directions point from larger
+into smaller slope.
 
 The blocks are kept in one layout: at each vertex the unitary eigenbasis of
-i(mu - alpha), columns in increasing eigenvalue, and the block label of each
-column; a block's columns are contiguous.  Every block question is a boolean
-mask on an edge matrix read in the eigenbases at its two ends, B_h^* A B_t; as
-the bases are unitary, the norm outside the mask is the distance of A from the
+H, columns in increasing eigenvalue, and the block label of each column; a
+block's columns are contiguous.  Every block question is a boolean mask on
+an edge matrix read in the eigenbases at its two ends, B_h^* A B_t; as the
+bases are unitary, the norm outside the mask is the distance of A from the
 maps the mask allows.
 
 Under (x, alpha) -> (c x, c^2 alpha) a tolerance must scale with the degree of
-what it compares: x has degree 1; mu, alpha and the eigenvalues of
-i(mu - alpha) and of the Hessian have degree 2; the gradient has degree 3.  So
-every eigenvalue decision (clustering, slope match, sign, leak mask) uses the
-gap cluster_tol * max(|x|^2, max |alpha|), and the gradient gate is
-grad_factor * grad_tol * max(1, |x|)^3.  A negative Hessian eigenvector X may
-have |rho*_x X| up to 1e-8 |X| |x| and leak up to 1e-8 |X| out of its blocks.
+what it compares: x has degree 1; mu, alpha and the eigenvalues of H and of
+the Hessian have degree 2; the gradient has degree 3.  So every eigenvalue
+decision (clustering, slope match, sign, leak mask) uses the gap
+cluster_tol * max(|x|^2, max |alpha|), and the gradient gate is
+10 grad_tol max(1, |x|)^3.  A negative Hessian eigenvector X may have
+|rho*_x X| up to 1e-8 |X| |x| and leak up to 1e-8 |X| out of its blocks.
 ``_outside`` and the negative-vector checks take tangents with a leading batch
 axis, one batch per eigenvalue cluster of the Hessian.
 """
@@ -32,6 +33,8 @@ import numpy as np
 from .quiver import canonical_stability
 from .rep import (
     Representation,
+    _adj,
+    _hermitian_moment,
     _view,
     d_moment_complex,
     edge_shapes,
@@ -41,13 +44,14 @@ from .rep import (
     mats_norm,
     matrix_of,
     moment_complex,
-    moment_minus_alpha,
-    mult_i,
     null_space,
     numerical_rank,
     slope_float,
     unravel_real,
 )
+
+
+_GRAD_FACTOR = 10.0  # the gradient gate is 10 grad_tol (module docstring)
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,11 @@ class ClassifyTols:
     block_tol: float = 1e-8
     rank_tol: float = 1e-9
     grad_tol: float = 1e-8
-    grad_factor: float = 10.0
 
     def __post_init__(self):
         # a NaN cluster gap splits every block and a nonpositive rank_tol falls
         # back to a fixed floor, so both would be misreported further on
-        for name in ("cluster_tol", "block_tol", "rank_tol", "grad_tol", "grad_factor"):
+        for name in ("cluster_tol", "block_tol", "rank_tol", "grad_tol"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
@@ -69,7 +72,7 @@ class ClassifyTols:
 
 @dataclass
 class CriticalProfile:
-    """Eigenvalue clusters of i(mu - alpha) with their block data.
+    """Eigenvalue clusters of H = i(mu - alpha) with their block data.
 
     ``eigenvalues`` is increasing; ``blocks`` matches it; ``critical_type``
     lists the same blocks by decreasing slope.  ``bases[i]`` is the unitary
@@ -121,18 +124,13 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
     with np.errstate(over="ignore", invalid="ignore"):
         g = mats_norm(grad_energy(x, alpha))
         scale = max(1.0, x.norm())
-    bound = tols.grad_factor * tols.grad_tol
+    bound = _GRAD_FACTOR * tols.grad_tol
     # (x, alpha) -> (c x, c^2 alpha) scales the gradient by c^3; dividing by
     # the scale one factor at a time cannot overflow, and a NaN fails the test
     if not g / scale / scale / scale < bound:
         raise ValueError(f"not critical: gradient norm {g:.3e} exceeds {bound:.3e} * max(1, |x|)^3")
     q = x.quiver
-    vals, bases = [], []
-    for u in moment_minus_alpha(x, alpha):
-        m = 1j * u
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        vals.append(w)
-        bases.append(v)
+    vals, bases = zip(*(np.linalg.eigh(h) for h in _hermitian_moment(x, alpha)))
     flat = np.concatenate(vals)
     gap = _eigen_gap(x, alpha, tols)
     groups = _cluster(flat, gap)
@@ -160,7 +158,7 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
     return CriticalProfile(
         eigenvalues=eigenvalues,
         blocks=blocks,
-        bases=bases,
+        bases=list(bases),
         labels=labels,
         critical_type=[blocks[j] for j in order],
         offdiag_residual=offdiag,
@@ -206,8 +204,10 @@ def _batch_norm(mats):
 def _check_negative_vectors(x, profile: CriticalProfile, lam, X, gap):
     lams = np.array(profile.eigenvalues)
     nX = _batch_norm(X)
-    ker = np.maximum(_batch_norm(inf_action_adjoint(x, X, flavor="compact")),
-                     _batch_norm(inf_action_adjoint(x, mult_i(X), flavor="compact")))
+    # the compact adjoints at X and iX are (R - R*)/2 and i(R + R*)/2, R = rho*_x(X)
+    R = inf_action_adjoint(x, X, flavor="full")
+    ker = np.maximum(_batch_norm([r - _adj(r) for r in R]),
+                     _batch_norm([r + _adj(r) for r in R])) / 2.0
     if np.any(ker > 1e-8 * nX * x.norm()):
         raise ValueError(f"negative eigenvector fails kernel conditions ({np.max(ker):.3e})")
     res = _outside(x.quiver, profile.bases, profile.labels, X,

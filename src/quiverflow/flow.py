@@ -85,7 +85,8 @@ def resolve_constraint(quiver: Quiver, kind: str) -> str:
     if kind == "auto":
         if quiver.pairing is not None:
             return "doubled"
-        if any(r is not None for r in handsaw_roles(quiver)):
+        # a framing label a_<v>^<j> reads as a handsaw edge, so only B2 loops count
+        if any(r is not None and r[0] == "B2" for r in handsaw_roles(quiver)):
             return "handsaw"
         return "none"
     if kind not in ("none", "doubled", "handsaw"):

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Iterable, Mapping
 
 Weight = "int | float | Fraction"
@@ -119,16 +120,20 @@ def check_quiver(q: Quiver) -> Quiver:
 # dimension vectors
 
 
+def _dim(v: str, d) -> int:
+    """d as an int; bools, non-numbers and negative, fractional or non-finite d raise."""
+    if isinstance(d, bool) or not isinstance(d, Real) or d < 0 or d % 1 != 0:
+        raise ValueError(f"dimension at vertex {v!r} must be a nonnegative integer, got {d!r}")
+    return int(d)
+
+
 def check_dims(q: Quiver, dims: Mapping[str, int]) -> dict[str, int]:
+    """The one validator of dimension vectors: an int per vertex of q."""
     if set(dims) != set(q.vertices):
-        raise ValueError("dimension vector keys must match the quiver vertices")
-    out = {}
-    for v, d in dims.items():
-        d = int(d)
-        if d < 0:
-            raise ValueError(f"negative dimension at vertex {v!r}")
-        out[v] = d
-    return out
+        raise ValueError("dimension vector keys must match the quiver vertices: missing "
+                         f"{[v for v in q.vertices if v not in dims]}, unknown "
+                         f"{[v for v in dims if v not in q.vertices]}")
+    return {v: _dim(v, d) for v, d in dims.items()}
 
 
 def dim_total(dims: Mapping[str, int]) -> int:
@@ -245,14 +250,12 @@ def handsaw_to_quiver(n: int, dims_v: tuple, dims_w: tuple, infinity: str = "inf
     n = int(n)
     if n < 2:
         raise ValueError("handsaw needs n >= 2")
-    dims_v = tuple(int(d) for d in dims_v)
-    dims_w = tuple(int(d) for d in dims_w)
+    dims_v = tuple(_dim(f"V{k}", d) for k, d in enumerate(dims_v, 1))
+    dims_w = tuple(_dim(f"W{k}", d) for k, d in enumerate(dims_w, 1))
     if len(dims_v) != n - 1:
         raise ValueError("dims_v must have n-1 entries")
     if len(dims_w) != n:
         raise ValueError("dims_w must have n entries")
-    if any(d < 0 for d in dims_v + dims_w):
-        raise ValueError("handsaw dimensions must be nonnegative")
     vs = [f"V{k}" for k in range(1, n)]
     edges: list[tuple[str, str]] = []
     labels: list[str] = []

@@ -18,8 +18,15 @@ i gets sum_{h(a)=i} L_a R_a - sum_{t(a)=i} R_a L_a.  So rho*_x(X) takes
 L = X and R = A*; the real moment map (1/2i) sum_a [A_a, A_a*] is (1/2i)
 rho*_x(A) in the full flavour; the complex moment map sum [A_a, B_abar] runs
 over the doubled pairs with L = A_a and R = B_abar.  ``_assemble`` is the one
-place that sums; it adds out of place, so leading batch axes broadcast.  A
-stability parameter alpha enters as the central element (i alpha_j id_j).
+place that sums; it adds out of place, so leading batch axes broadcast.
+
+The flow is the gradient flow of f = (1/2)|mu - alpha|^2, alpha entering as
+the central element (i alpha_j id_j).  All of it is read from the Hermitian
+element H = i(mu - alpha) = (1/2) rho*_x(A) + alpha_j id_j per vertex j:
+f = (1/2)|H|^2, the gradient is rho_x(H), and the Hessian sends X to
+[H, X] + rho_x(S), where [H, X]_a = H_h X_a - X_a H_t and S = (1/2)(R + R*)
+= i dmu(X) with R = rho*_x(X) in the full flavour.  At a critical point the
+eigenspaces of H give the slope blocks (``critical``).
 
 Batches
 -------
@@ -27,10 +34,11 @@ The real-linear kernels in the tangent data (``inf_action``,
 ``inf_action_adjoint``, ``d_moment_real``, ``d_moment_complex``,
 ``hessian_apply``, ``anti_hermitian_part``) and ``ravel_real``/
 ``unravel_real`` accept tangent matrices with leading batch axes, shape
-(..., rows, cols); the base point stays unbatched.  The matrix of such a map
-is then one call on the identity batch of real coordinates instead of one
-call per unit vector.  ``moment_real`` and ``moment_complex`` take a batch of
-base points given as edge matrices through ``_view``.
+(..., rows, cols), so the matrix of such a map is one call on the identity
+batch of real coordinates.  Base points may be batched too, as edge matrices
+through ``_view``: ``moment_real``, ``moment_complex``, ``grad_energy`` and
+``hessian_apply`` give one result per batch index, and ``energy`` the sum
+over the batch (a vertex that no edge meets counts once).
 
 Numerical rank
 --------------
@@ -300,30 +308,29 @@ def d_moment_complex(x: Representation, X: Mats) -> Mats:
     return [u + v for u, v in zip(_assemble(x, ends, dA, B), _assemble(x, ends, A, dB))]
 
 
-def moment_minus_alpha(x: Representation, alpha: Mapping) -> Mats:
-    """mu(x) minus the central element, subtracted on the diagonal of the
-    fresh moment-map blocks."""
-    if set(alpha) != set(x.dims):
-        raise ValueError("weight keys must match dimension-vector keys")
-    out = moment_real(x)
-    for u, v in zip(out, x.quiver.vertices):
-        u.ravel()[:: u.shape[0] + 1] -= complex(0.0, float(alpha[v]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # energy, gradient, Hessian
 
 
+def _hermitian_moment(x: Representation, alpha: Mapping) -> Mats:
+    """H = (1/2) rho*_x(A) + alpha_j id_j per vertex (module docstring)."""
+    if set(alpha) != set(x.dims):
+        raise ValueError("weight keys must match dimension-vector keys")
+    out = [0.5 * u for u in inf_action_adjoint(x, x.mats, flavor="full")]
+    for h, v in zip(out, x.quiver.vertices):
+        # a diagonal view, never a copy, so the shift reaches every batch index
+        np.einsum("...ii->...i", h)[...] += float(alpha[v])
+    return out
+
+
 def energy(x: Representation, alpha: Mapping) -> float:
-    """Half the squared norm of mu - alpha."""
-    d = moment_minus_alpha(x, alpha)
-    return 0.5 * mats_norm(d) ** 2
+    """f = (1/2)|mu - alpha|^2 = (1/2)|H|^2."""
+    return 0.5 * mats_norm(_hermitian_moment(x, alpha)) ** 2
 
 
 def grad_energy(x: Representation, alpha: Mapping) -> Mats:
-    """I rho_x(mu(x) - alpha)."""
-    return mult_i(inf_action(x, moment_minus_alpha(x, alpha)))
+    """The gradient rho_x(H) of the energy."""
+    return inf_action(x, _hermitian_moment(x, alpha))
 
 
 def grad_norm(x: Representation, alpha: Mapping) -> float:
@@ -331,12 +338,10 @@ def grad_norm(x: Representation, alpha: Mapping) -> float:
 
 
 def hessian_apply(x: Representation, alpha: Mapping, X: Mats) -> Mats:
-    """I drho(mu - alpha)(X) - I rho rho* I X, the second variation of the energy."""
-    d = moment_minus_alpha(x, alpha)
-    first = mult_i(_bracket(x.quiver, d, X))
-    u = inf_action_adjoint(x, mult_i(X), flavor="compact")
-    second = mult_i(inf_action(x, u))
-    return mats_sub(first, second)
+    """The Hessian [H, X] + rho_x(S) of the energy applied to X (module docstring)."""
+    S = [(r + _adj(r)) / 2.0 for r in inf_action_adjoint(x, X, flavor="full")]
+    return [a + b for a, b in zip(_bracket(x.quiver, _hermitian_moment(x, alpha), X),
+                                  inf_action(x, S))]
 
 
 def hessian_matrix(x: Representation, alpha: Mapping) -> np.ndarray:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quiver import Quiver, check_quiver
+from .quiver import Quiver, _dim, check_dims, check_quiver
 from .rep import Representation, edge_shapes
 
 
@@ -68,13 +68,7 @@ def dims_from_json(obj: dict) -> dict:
     data = obj.get("dims", obj) if isinstance(obj, dict) else obj
     if not isinstance(data, dict):
         raise ValueError("dimension document must be an object")
-    out = {}
-    for v, d in data.items():
-        d = int(d)
-        if d < 0:
-            raise ValueError(f"dimension at {v!r} is negative")
-        out[str(v)] = d
-    return out
+    return {str(v): _dim(str(v), d) for v, d in data.items()}
 
 
 def parse_weight(value):
@@ -134,7 +128,7 @@ def rep_from_json(obj: dict) -> Representation:
     if not isinstance(obj, dict):
         raise ValueError("representation document must be an object")
     q = quiver_from_json(obj["quiver"])
-    dims = dims_from_json({"dims": obj["dims"]})
+    dims = check_dims(q, dims_from_json({"dims": obj["dims"]}))
     raw = obj.get("mats", {})
     if not isinstance(raw, dict):
         raise ValueError("mats must be an object keyed by edge index")
@@ -144,13 +138,9 @@ def rep_from_json(obj: dict) -> Representation:
         if entry is None:
             mats.append(np.zeros(shape, dtype=complex))
             continue
-        m = np.array([[_parse_entry(z) for z in row] for row in entry],
-                     dtype=complex)
-        if m.size == 0:
-            m = m.reshape(shape)
-        if m.shape != shape:
-            raise ValueError(f"edge {e} matrix has shape {m.shape}, expected {shape}")
-        mats.append(m)
+        m = np.array([[_parse_entry(z) for z in row] for row in entry], dtype=complex)
+        # Representation checks every other shape
+        mats.append(m.reshape(shape) if m.size == 0 else m)
     return Representation(q, dims, mats)
 
 

@@ -232,6 +232,8 @@ def test_project_flow_flags_apply_on_affine_defaults(tmp_path):
     (["negslice", "{zero}", "{partial}"], "canonical"),
     (["hn", "{rep}", "{infinite}"], "non-finite weight"),
     (["flow", "{listmats}", "canonical"], "mats must be an object"),
+    (["flow", "{nodim}", "canonical"], "missing ['inf']"),
+    (["flow", "{fracdim}", "canonical"], "vertex '1' must be a nonnegative integer, got 1.7"),
 ])
 def test_bad_input_exits_2(f1_files, tmp_path, args, expected):
     files = dict(f1_files,
@@ -241,7 +243,12 @@ def test_bad_input_exits_2(f1_files, tmp_path, args, expected):
                  infinite=write_json(tmp_path / "infinite.json",
                                      {"weights": {"1": float("inf"), "inf": -1}}),
                  listmats=write_json(tmp_path / "listmats.json",
-                                     dict(rep_to_json(framed_a1_rep(0.0, 1.0)), mats=[])))
+                                     dict(rep_to_json(framed_a1_rep(0.0, 1.0)), mats=[])),
+                 nodim=write_json(tmp_path / "nodim.json",
+                                  dict(rep_to_json(framed_a1_rep(0.0, 1.0)), dims={"1": 1})),
+                 fracdim=write_json(tmp_path / "fracdim.json",
+                                    dict(rep_to_json(framed_a1_rep(0.0, 1.0)),
+                                         dims={"1": 1.7, "inf": 1})))
     code, out, err = run_cli(*[a.format(**files) for a in args])
     assert code == 2
     assert out == ""

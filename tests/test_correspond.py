@@ -252,6 +252,21 @@ def test_handsaw_adjoint_involution():
     assert np.max(np.abs(Cy[0] + C[0].conj().T)) == 0.0
 
 
+def test_handsaw_constraint_independent_of_vertex_names():
+    # the chain orientation is read from the edge ends, not from vertex ids
+    q, dims = hs3((1, 2), (1, 1, 1))
+    x = random_rep(q, dims, np.random.default_rng(5))
+    names = {"V1": "p", "V2": "q", "inf": "inf"}
+    renamed = Quiver(vertices=tuple(names[v] for v in q.vertices),
+                     edges=tuple((names[t], names[h]) for t, h in q.edges),
+                     infinity="inf", labels=q.labels)
+    xr = Representation(renamed, {names[v]: d for v, d in dims.items()}, x.mats)
+    want = handsaw_constraint(handsaw_adjoint(x))
+    got = handsaw_constraint(handsaw_adjoint(xr))
+    assert len(got) == len(want) == 1
+    assert np.array_equal(got[0], want[0])
+
+
 def test_handsaw_adjoint_rejects_plain_quiver():
     with pytest.raises(ValueError):
         handsaw_adjoint(chain2_rep(1.0))

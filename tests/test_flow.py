@@ -6,10 +6,18 @@ from quiverflow.fixtures import (
     chain2_weights,
     framed_a1_rep,
     framed_a1_weights,
+    hs3,
     random_doubled,
     random_plain,
 )
-from quiverflow.flow import FlowOptions, constraint_norm, flow, trajectory_csv
+from quiverflow.flow import (
+    FlowOptions,
+    constraint_norm,
+    flow,
+    resolve_constraint,
+    trajectory_csv,
+)
+from quiverflow.quiver import Quiver, crawley_boevey_frame
 from quiverflow.rep import (
     Representation,
     direct_sum,
@@ -150,6 +158,18 @@ def test_constraint_norm_kinds():
     assert constraint_norm(x, "doubled") == pytest.approx(np.sqrt(72.0))
     with pytest.raises(ValueError):
         flow(x, framed_a1_weights(), FlowOptions(constraint="bogus"))
+
+
+def test_auto_constraint_on_framed_quiver():
+    # the framing edge of vertex "1" is labelled a_1^1, a handsaw label
+    q = crawley_boevey_frame(Quiver(("1", "2"), (("1", "2"),)), {"1": 1})
+    assert resolve_constraint(q, "auto") == "none"
+    x = Representation(q, {"1": 1, "2": 1, "inf": 1},
+                       [np.array([[1.0]]), np.array([[2.0]])])
+    r = flow(x, {"1": 1, "2": 1, "inf": -2}, FlowOptions(max_steps=50))
+    assert r.final_constraint == 0.0
+    hs, _ = hs3((1, 1), (1, 1, 1))
+    assert resolve_constraint(hs, "auto") == "handsaw"
 
 
 def test_final_fields_consistent():

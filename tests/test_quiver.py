@@ -53,6 +53,11 @@ def test_check_dims():
         check_dims(q, {"1": 2})
     with pytest.raises(ValueError):
         check_dims(q, {"1": -1, "2": 0})
+    # a fraction or a bool is not truncated to a dimension
+    for bad in (1.7, True, "2"):
+        with pytest.raises(ValueError, match="vertex '1'"):
+            check_dims(q, {"1": bad, "2": 0})
+    assert check_dims(q, {"1": 2.0, "2": 1}) == {"1": 2, "2": 1}
 
 
 def test_double_quiver_pairing():

@@ -186,8 +186,10 @@ def test_moment_derivatives_linearize():
 
 def test_edge_to_vertex_kernels_are_batch_safe():
     # every kernel built on the one edge-to-vertex assembly keeps a leading
-    # batch axis and gives, per index, the unbatched result
+    # batch axis and gives, per index, the unbatched result; alpha must shift
+    # the diagonal of H at every index of a batch of base points
     x, _ = random_doubled(4)
+    alpha = {v: 0.7 for v in x.quiver.vertices}
     rng = np.random.default_rng(4)
     shapes = edge_shapes(x.quiver, x.dims)
     batch = [np.stack(edge) for edge in zip(*(random_mats(shapes, rng) for _ in range(3)))]
@@ -198,6 +200,8 @@ def test_edge_to_vertex_kernels_are_batch_safe():
         "d_moment_complex": lambda X: d_moment_complex(x, X),
         "moment_real": lambda X: moment_real(_view(x, X)),
         "moment_complex": lambda X: moment_complex(_view(x, X)),
+        "grad_energy": lambda X: grad_energy(_view(x, X), alpha),
+        "hessian_apply": lambda X: hessian_apply(_view(x, X), alpha, X),
     }
     for name, kernel in kernels.items():
         got = kernel(batch)
@@ -206,6 +210,9 @@ def test_edge_to_vertex_kernels_are_batch_safe():
             for g, w in zip(got, want):
                 assert g.shape == (3,) + w.shape, name
                 assert_allclose(g[k], w, rtol=1e-13, atol=1e-13, err_msg=name)
+    # every vertex of the fixture meets an edge, so energy sums over the batch
+    total = sum(energy(_view(x, [m[k] for m in batch]), alpha) for k in range(3))
+    assert energy(_view(x, batch), alpha) == pytest.approx(total, rel=1e-13)
 
 
 def test_unitary_equivariance():
