@@ -20,7 +20,6 @@ from .rep import (
     embed_rep,
     energy,
     grad_energy,
-    grad_norm,
     group_act,
     hessian_apply,
     hessian_matrix,
@@ -66,7 +65,7 @@ __all__ = [
     "Quiver", "QuiverReport", "canonical_stability", "check_quiver", "crawley_boevey_frame",
     "degree_rank_slope", "double_quiver", "handsaw_roles", "handsaw_to_quiver",
     "reverse_quiver", "validate_quiver",
-    "Representation", "direct_sum", "embed_rep", "energy", "grad_energy", "grad_norm",
+    "Representation", "direct_sum", "embed_rep", "energy", "grad_energy",
     "group_act", "hessian_apply", "hessian_matrix", "inf_action", "inf_action_adjoint",
     "moment_complex", "moment_real", "random_rep", "restrict_rep", "rep_distance",
     "FlowOptions", "FlowResult", "flow", "trajectory_csv",

@@ -11,15 +11,17 @@ projection back onto the constraint set is performed: drift is monitored and
 reported.
 
 The step loop works on bare lists of edge matrices.  The gradient at the
-current state is computed once, when the state is accepted, and serves as
-the first slope of the full step, of the first half-step and of every retry
-after a rejection (a rejection leaves the state unchanged): 10 new gradient
-evaluations per attempt.  Stage points are not validated as
-Representations: their shapes are fixed by construction, and a stage that
-overflows leaves inf/NaN in the full or the two-half-step result (an inf
-entry of A reaches the diagonal of A A*, and from there every later stage),
-so the error estimate is then inf/NaN and the attempt is rejected.  Only
-the input copy and the limit are validated.
+current state comes from the same H = i(mu - alpha) as the energy there, and
+serves as the first slope of the full step, of the first half-step and of
+every retry after a rejection (a rejection leaves the state unchanged).  The
+full step and the first half-step run as one batch of two step sizes, so an
+attempt builds H 8 times: 3 batched stages, 4 for the second half-step and 1
+at the trial point for its energy and gradient.  Stage points are not
+validated as Representations: their shapes are fixed by construction, and a
+stage that overflows leaves inf/NaN in the full or the two-half-step result
+(an inf entry of A reaches the diagonal of A A*, and from there every later
+stage), so the error estimate is then inf/NaN and the attempt is rejected.
+Only the input copy and the limit are validated.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ import numpy as np
 from .quiver import Quiver, handsaw_roles
 from .rep import (
     Representation,
+    _energy_and_grad,
     _view,
-    energy,
     grad_energy,
     mats_norm,
     moment_complex,
@@ -106,12 +108,14 @@ def constraint_norm(x: Representation, kind: str) -> float:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _rk4(field, mats: list[np.ndarray], k1: list[np.ndarray], dt: float) -> list[np.ndarray]:
-    """One classical 4th-order step from mats, where the slope is k1."""
-    k2 = field([m + (dt / 2.0) * k for m, k in zip(mats, k1)])
-    k3 = field([m + (dt / 2.0) * k for m, k in zip(mats, k2)])
-    k4 = field([m + dt * k for m, k in zip(mats, k3)])
-    return [m + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+def _rk4(grad, mats: list[np.ndarray], k1: list[np.ndarray], dt) -> list[np.ndarray]:
+    """One classical 4th-order step down the gradient from mats, where k1 is
+    the gradient at mats.  dt may be an array of shape (n, 1, 1): the result
+    then carries a leading batch axis, one step per step size."""
+    k2 = grad([m - (dt / 2.0) * k for m, k in zip(mats, k1)])
+    k3 = grad([m - (dt / 2.0) * k for m, k in zip(mats, k2)])
+    k4 = grad([m - dt * k for m, k in zip(mats, k3)])
+    return [m - (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for m, a, b, c, d in zip(mats, k1, k2, k3, k4)]
 
 
@@ -124,8 +128,8 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     kind = resolve_constraint(x0.quiver, opts.constraint)
     start = x0.copy()
 
-    def field(mats):
-        return [-1.0 * g for g in grad_energy(_view(start, mats), alpha)]
+    def grad(mats):
+        return grad_energy(_view(start, mats), alpha)
 
     x = start.mats
     t = 0.0
@@ -133,8 +137,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     dt = float(opts.dt_init)
     run = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        E = energy(start, alpha)
-        k1 = field(x)
+        E, k1 = _energy_and_grad(start, alpha)
         g = mats_norm(k1)
     if not (np.isfinite(E) and np.isfinite(g)):
         raise ValueError(f"flow start has non-finite energy {E:.3e} or gradient norm {g:.3e}")
@@ -156,26 +159,24 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         last = t + dt >= opts.max_time
         h = opts.max_time - t if last else dt
         with np.errstate(over="ignore", invalid="ignore"):
-            full = _rk4(field, x, k1, h)
-            mid = _rk4(field, x, k1, h / 2.0)
-            trial = _rk4(field, mid, field(mid), h / 2.0)
+            both = _rk4(grad, x, k1, np.array([h, h / 2.0])[:, None, None])
+            full, mid = [b[0] for b in both], [b[1] for b in both]
+            trial = _rk4(grad, mid, grad(mid), h / 2.0)
             # an overflowing stage leaves inf/NaN in full or trial (mid feeds
             # trial), so est is inf/NaN and fails the comparison
             est = mats_norm([a - b for a, b in zip(full, trial)])
             ok = est <= opts.step_tol * (1.0 + scale)
             if ok:
                 at_trial = _view(start, trial)
-                E_t = energy(at_trial, alpha)
+                E_t, k1_t = _energy_and_grad(at_trial, alpha)
                 c_t = constraint_norm(at_trial, kind)
                 # the constraint increment gets a roundoff floor so shrinking dt
                 # cannot make the bound unsatisfiable; the floor keeps cumulative
                 # drift below 1e-8 * scale across the step budget
                 drift_cap = opts.drift_tol * h + 1e-14 * (1.0 + scale ** 2)
                 ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and (c_t - c <= drift_cap)
-            if ok:
-                k1 = field(trial)
         if ok:
-            x, E, c = trial, E_t, c_t
+            x, E, c, k1 = trial, E_t, c_t, k1_t
             t = opts.max_time if last else t + dt
             steps += 1
             run += 1

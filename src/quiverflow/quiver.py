@@ -120,10 +120,10 @@ def check_quiver(q: Quiver) -> Quiver:
 # dimension vectors
 
 
-def _dim(v: str, d) -> int:
+def _dim(v: str, d, what: str = "dimension") -> int:
     """d as an int; bools, non-numbers and negative, fractional or non-finite d raise."""
     if isinstance(d, bool) or not isinstance(d, Real) or d < 0 or d % 1 != 0:
-        raise ValueError(f"dimension at vertex {v!r} must be a nonnegative integer, got {d!r}")
+        raise ValueError(f"{what} at vertex {v!r} must be a nonnegative integer, got {d!r}")
     return int(d)
 
 
@@ -220,12 +220,11 @@ def crawley_boevey_frame(q: Quiver, w: Mapping[str, int], infinity: str = "inf")
         raise ValueError(f"framing vertex id {infinity!r} already in use")
     if set(w) - set(q.vertices):
         raise ValueError("framing weights mention unknown vertices")
-    if any(int(c) < 0 for c in w.values()):
-        raise ValueError("framing weights must be nonnegative")
+    w = {v: _dim(v, c, "framing weight") for v, c in w.items()}
     edges = list(q.edges)
     labels = list(q.labels) if q.labels is not None else [None] * q.nedges
     for v in q.vertices:
-        for j in range(int(w.get(v, 0))):
+        for j in range(w.get(v, 0)):
             edges.append((infinity, v))
             labels.append(f"a_{v}^{j + 1}")
     return Quiver(

@@ -38,7 +38,8 @@ The real-linear kernels in the tangent data (``inf_action``,
 batch of real coordinates.  Base points may be batched too, as edge matrices
 through ``_view``: ``moment_real``, ``moment_complex``, ``grad_energy`` and
 ``hessian_apply`` give one result per batch index, and ``energy`` the sum
-over the batch (a vertex that no edge meets counts once).
+over the batch (a vertex that no edge meets counts once).  ``flow`` batches
+two step sizes this way: its full step and first half-step share a start.
 
 Numerical rank
 --------------
@@ -333,8 +334,10 @@ def grad_energy(x: Representation, alpha: Mapping) -> Mats:
     return inf_action(x, _hermitian_moment(x, alpha))
 
 
-def grad_norm(x: Representation, alpha: Mapping) -> float:
-    return mats_norm(grad_energy(x, alpha))
+def _energy_and_grad(x: Representation, alpha: Mapping) -> tuple[float, Mats]:
+    """energy and grad_energy at x from one H."""
+    H = _hermitian_moment(x, alpha)
+    return 0.5 * mats_norm(H) ** 2, inf_action(x, H)
 
 
 def hessian_apply(x: Representation, alpha: Mapping, X: Mats) -> Mats:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from quiverflow.fixtures import (
     random_doubled,
     random_plain,
 )
+import quiverflow.rep as rep
 from quiverflow.flow import (
     FlowOptions,
+    _rk4,
     constraint_norm,
     flow,
     resolve_constraint,
@@ -20,10 +24,13 @@ from quiverflow.flow import (
 from quiverflow.quiver import Quiver, crawley_boevey_frame
 from quiverflow.rep import (
     Representation,
+    _view,
     direct_sum,
     energy,
-    grad_norm,
+    grad_energy,
     group_act,
+    mats_norm,
+    random_rep,
     rep_distance,
 )
 
@@ -174,7 +181,7 @@ def test_auto_constraint_on_framed_quiver():
 
 def test_final_fields_consistent():
     r = flow(chain2_rep(2.0), chain2_weights(), FlowOptions(dt_init=0.5))
-    assert r.final_grad_norm == pytest.approx(grad_norm(r.limit, chain2_weights()))
+    assert r.final_grad_norm == pytest.approx(mats_norm(grad_energy(r.limit, chain2_weights())))
     assert r.final_energy == pytest.approx(energy(r.limit, chain2_weights()))
     assert r.time > 0 and r.steps > 0
 
@@ -198,3 +205,61 @@ def test_flow_validates_only_input_and_limit(monkeypatch, make):
     r = flow(x0, alpha, FlowOptions(dt_init=0.5, max_time=50.0))
     assert r.steps > 10
     assert len(calls) <= 2
+
+
+def _loop_multi_edge_zero_dim():
+    q = Quiver(("1", "2", "3"), (("1", "1"), ("1", "2"), ("1", "2"), ("2", "3")))
+    dims = {"1": 2, "2": 1, "3": 0}
+    return random_rep(q, dims, np.random.default_rng(8)), {"1": 0.5, "2": -1.0, "3": 0.7}
+
+
+@pytest.mark.parametrize("make", [lambda: random_doubled(3), _loop_multi_edge_zero_dim],
+                         ids=["random_doubled", "loop_multi_edge_zero_dim"])
+def test_rk4_batched_step_sizes_match_scalar_calls(make):
+    # flow takes the full step and the first half step as one batch of two
+    # step sizes; each must be bitwise the step that a scalar dt gives
+    x, alpha = make()
+
+    def grad(mats):
+        return grad_energy(_view(x, mats), alpha)
+
+    k1 = grad(x.mats)
+    h = 0.3
+    both = _rk4(grad, x.mats, k1, np.array([h, h / 2.0])[:, None, None])
+    for k, dt in enumerate((h, h / 2.0)):
+        for b, s in zip(both, _rk4(grad, x.mats, k1, dt)):
+            assert np.array_equal(b[k], s)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (framed_a1_rep(0.0, 3.0), framed_a1_weights()),
+    lambda: (chain2_rep(2.0), chain2_weights()),
+], ids=["framed_a1", "chain2"])
+def test_flow_builds_h_once_per_point(monkeypatch, make):
+    # an attempt builds H = i(mu - alpha) 3 times for the batched full and
+    # first half steps, 4 times for the second half step and once at the trial
+    # point, whose energy and gradient share it; a rejected attempt retries
+    # from the same point with new step sizes, so no two builds (a batched
+    # build counted as one) see the same edge matrices
+    x0, alpha = make()
+    seen = []
+    attempts = []
+    hermitian_moment = rep._hermitian_moment
+    flow_module = sys.modules[flow.__module__]
+
+    def recorded(x, a):
+        seen.append(b"".join(np.asarray(m).tobytes() for m in x.mats))
+        return hermitian_moment(x, a)
+
+    def counted(*args):
+        attempts.append(np.ndim(args[3]) > 0)  # the batched call opens an attempt
+        return _rk4(*args)
+
+    monkeypatch.setattr(rep, "_hermitian_moment", recorded)
+    monkeypatch.setattr(flow_module, "_rk4", counted)
+    r = flow(x0, alpha, FlowOptions(dt_init=0.5))
+    assert r.status == "converged"
+    n = sum(attempts)
+    assert n >= r.steps > 10
+    assert len(seen) <= 8 * n + 1
+    assert len(set(seen)) == len(seen)

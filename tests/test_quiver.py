@@ -86,6 +86,15 @@ def test_crawley_boevey_frame():
     assert framed.labels[1:] == ("a_1^1", "a_1^2")
 
 
+def test_crawley_boevey_frame_validates_weights():
+    # a weight is validated like a dimension, never truncated to an edge count
+    base = Quiver(vertices=("1", "2"), edges=(("1", "2"),))
+    for bad in (1.7, True, -1, float("nan"), "2"):
+        with pytest.raises(ValueError, match="framing weight at vertex '1'"):
+            crawley_boevey_frame(base, {"1": bad})
+    assert crawley_boevey_frame(base, {"1": 2.0}).edges == (("1", "2"), ("inf", "1"), ("inf", "1"))
+
+
 def test_handsaw_structure():
     q, dims = handsaw_to_quiver(3, (1, 2), (1, 1, 1))
     assert q.vertices == ("V1", "V2", "inf")

@@ -24,7 +24,6 @@ from quiverflow.rep import (
     embed_rep,
     energy,
     grad_energy,
-    grad_norm,
     group_act,
     hessian_apply,
     hessian_matrix,
@@ -226,7 +225,7 @@ def test_unitary_equivariance():
         g.append(qmat)
     y = group_act(g, x)
     assert energy(y, alpha) == pytest.approx(energy(x, alpha))
-    assert grad_norm(y, alpha) == pytest.approx(grad_norm(x, alpha))
+    assert mats_norm(grad_energy(y, alpha)) == pytest.approx(mats_norm(grad_energy(x, alpha)))
     mux, muy = moment_real(x), moment_real(y)
     for gi, mx, my in zip(g, mux, muy):
         assert_allclose(my, gi @ mx @ gi.conj().T, atol=1e-12)
