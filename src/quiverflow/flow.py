@@ -10,18 +10,21 @@ every later one.  A step that would pass max_time is cut to end there.  No
 projection back onto the constraint set is performed: drift is monitored and
 reported.
 
-The step loop works on bare lists of edge matrices.  The gradient at the
-current state comes from the same H = i(mu - alpha) as the energy there, and
-serves as the first slope of the full step, of the first half-step and of
-every retry after a rejection (a rejection leaves the state unchanged).  The
-full step and the first half-step run as one batch of two step sizes, so an
-attempt builds H 8 times: 3 batched stages, 4 for the second half-step and 1
-at the trial point for its energy and gradient.  Stage points are not
-validated as Representations: their shapes are fixed by construction, and a
+The state is one packed (E, d, d) array of zero-padded edge matrices (``rep``
+module docstring, "Packed layout"): the validated input copy is packed once,
+and the limit is unpacked once into a validated Representation.  The stage
+slopes, the full step, the half-steps and the trial point are packed arrays
+too, so each RK4 combination, the step-error norm and the state norm is one
+array operation; only the handsaw constraint reads edge-matrix views.  The
+gradient at the current state comes from the same H = i(mu - alpha) as the
+energy there, and serves as the first slope of the full step, of the first
+half-step and of every retry after a rejection (a rejection leaves the state
+unchanged).  The full step and the first half-step run as one batch of two
+step sizes, so an attempt builds H 8 times: 3 batched stages, 4 for the
+second half-step and 1 at the trial point for its energy and gradient.  A
 stage that overflows leaves inf/NaN in the full or the two-half-step result
 (an inf entry of A reaches the diagonal of A A*, and from there every later
 stage), so the error estimate is then inf/NaN and the attempt is rejected.
-Only the input copy and the limit are validated.
 """
 from __future__ import annotations
 
@@ -32,9 +35,12 @@ import numpy as np
 from .quiver import Quiver, handsaw_roles
 from .rep import (
     Representation,
+    _complex_moment,
     _energy_and_grad,
+    _gradient,
+    _layout,
+    _sqnorm,
     _view,
-    grad_energy,
     mats_norm,
     moment_complex,
 )
@@ -108,15 +114,19 @@ def constraint_norm(x: Representation, kind: str) -> float:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _rk4(grad, mats: list[np.ndarray], k1: list[np.ndarray], dt) -> list[np.ndarray]:
-    """One classical 4th-order step down the gradient from mats, where k1 is
-    the gradient at mats.  dt may be an array of shape (n, 1, 1): the result
-    then carries a leading batch axis, one step per step size."""
-    k2 = grad([m - (dt / 2.0) * k for m, k in zip(mats, k1)])
-    k3 = grad([m - (dt / 2.0) * k for m, k in zip(mats, k2)])
-    k4 = grad([m - dt * k for m, k in zip(mats, k3)])
-    return [m - (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for m, a, b, c, d in zip(mats, k1, k2, k3, k4)]
+def _rk4(grad, A: np.ndarray, k1: np.ndarray, dt) -> np.ndarray:
+    """One classical 4th-order step down the gradient from the packed edge
+    matrices A, where k1 is the gradient at A.  dt may be an array of shape
+    (n, 1, 1, 1): the result then carries a leading batch axis, one step per
+    step size."""
+    k2 = grad(A - (dt / 2.0) * k1)
+    k3 = grad(A - (dt / 2.0) * k2)
+    k4 = grad(A - dt * k3)
+    return A - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _norm(a: np.ndarray) -> float:
+    return float(np.sqrt(_sqnorm(a)))
 
 
 def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResult:
@@ -127,22 +137,31 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             raise ValueError("flow input has non-finite entries")
     kind = resolve_constraint(x0.quiver, opts.constraint)
     start = x0.copy()
+    lay = _layout(start.quiver, start.dims)
+    shift = lay.shift(alpha)
 
-    def grad(mats):
-        return grad_energy(_view(start, mats), alpha)
+    def grad(A):
+        return _gradient(lay, A, shift)
 
-    x = start.mats
+    def constraint(A):
+        if kind == "doubled":
+            return _norm(_complex_moment(lay, A))
+        if kind == "handsaw":
+            return constraint_norm(_view(start, lay.edges(A)), kind)
+        return 0.0
+
+    x = lay.pack(start.mats)
     t = 0.0
     steps = 0
     dt = float(opts.dt_init)
     run = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        E, k1 = _energy_and_grad(start, alpha)
-        g = mats_norm(k1)
+        E, k1 = _energy_and_grad(lay, x, shift)
+        g = _norm(k1)
     if not (np.isfinite(E) and np.isfinite(g)):
         raise ValueError(f"flow start has non-finite energy {E:.3e} or gradient norm {g:.3e}")
-    c = constraint_norm(start, kind)
-    scale = mats_norm(x)
+    c = constraint(x)
+    scale = _norm(x)
     samples = [(t, E, g, c)]
     status = None
 
@@ -159,17 +178,15 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         last = t + dt >= opts.max_time
         h = opts.max_time - t if last else dt
         with np.errstate(over="ignore", invalid="ignore"):
-            both = _rk4(grad, x, k1, np.array([h, h / 2.0])[:, None, None])
-            full, mid = [b[0] for b in both], [b[1] for b in both]
+            full, mid = _rk4(grad, x, k1, np.array([h, h / 2.0])[:, None, None, None])
             trial = _rk4(grad, mid, grad(mid), h / 2.0)
             # an overflowing stage leaves inf/NaN in full or trial (mid feeds
             # trial), so est is inf/NaN and fails the comparison
-            est = mats_norm([a - b for a, b in zip(full, trial)])
+            est = _norm(full - trial)
             ok = est <= opts.step_tol * (1.0 + scale)
             if ok:
-                at_trial = _view(start, trial)
-                E_t, k1_t = _energy_and_grad(at_trial, alpha)
-                c_t = constraint_norm(at_trial, kind)
+                E_t, k1_t = _energy_and_grad(lay, trial, shift)
+                c_t = constraint(trial)
                 # the constraint increment gets a roundoff floor so shrinking dt
                 # cannot make the bound unsatisfiable; the floor keeps cumulative
                 # drift below 1e-8 * scale across the step budget
@@ -183,8 +200,8 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             if run >= 5:
                 dt *= 1.5
                 run = 0
-            g = mats_norm(k1)
-            scale = mats_norm(x)
+            g = _norm(k1)
+            scale = _norm(x)
             if steps % _SAMPLE_STRIDE == 0:
                 samples.append((t, E, g, c))
         else:
@@ -197,7 +214,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     if samples[-1][0] != t or samples[-1][1] != E:
         samples.append((t, E, g, c))
     return FlowResult(
-        limit=Representation(start.quiver, start.dims, x),
+        limit=Representation(start.quiver, start.dims, [m.copy() for m in lay.edges(x)]),
         status=status,
         trajectory=np.array(samples, dtype=float),
         final_grad_norm=g,

@@ -17,8 +17,9 @@ Math. J. 76, 1994, section 3): given matrices L_a and R_a on edges a, vertex
 i gets sum_{h(a)=i} L_a R_a - sum_{t(a)=i} R_a L_a.  So rho*_x(X) takes
 L = X and R = A*; the real moment map (1/2i) sum_a [A_a, A_a*] is (1/2i)
 rho*_x(A) in the full flavour; the complex moment map sum [A_a, B_abar] runs
-over the doubled pairs with L = A_a and R = B_abar.  ``_assemble`` is the one
-place that sums; it adds out of place, so leading batch axes broadcast.
+over the doubled pairs with L = A_a and R = B_abar.  ``_assemble`` sums on
+edge-matrix lists and ``_incidence_sum`` on the packed layout below; both add
+out of place, so leading batch axes broadcast.
 
 The flow is the gradient flow of f = (1/2)|mu - alpha|^2, alpha entering as
 the central element (i alpha_j id_j).  All of it is read from the Hermitian
@@ -38,8 +39,37 @@ The real-linear kernels in the tangent data (``inf_action``,
 batch of real coordinates.  Base points may be batched too, as edge matrices
 through ``_view``: ``moment_real``, ``moment_complex``, ``grad_energy`` and
 ``hessian_apply`` give one result per batch index, and ``energy`` the sum
-over the batch (a vertex that no edge meets counts once).  ``flow`` batches
-two step sizes this way: its full step and first half-step share a start.
+over the batch.  ``flow`` batches two step sizes on the packed layout: its
+full step and first half-step share a start.
+
+Packed layout
+-------------
+``_layout`` compiles one (quiver, dims) once.  With d the largest dimension,
+the E edge matrices sit zero-padded in one complex array of shape
+(..., E, d, d), A_a in the leading (dim head, dim tail) corner, and vertex
+data in one array of shape (..., V, d, d).  The edge-to-vertex rule with
+L = A and R = A* is then one matmul: a complex (V, 2E) incidence matrix holds
++1/2 at (h(a), a) and -1/2 at (t(a), E + a), and H = inc @ [A A*; A* A]
++ diag(alpha), alpha sitting only on the d_v live diagonal entries of vertex
+v.  The gradient is H[heads] @ A - A @ H[tails], and the complex moment map
+is the same incidence sum (+-1) over the doubled pairs.  Padding stays 0:
+the padded rows and columns of A A*, A* A and diag(alpha) are 0, so are those
+of H, and so those of every gradient.  A point costs O(E d^3) flops in a
+fixed handful of numpy calls, where per-edge lists cost O(E) calls.  Padding
+rather than the N x N block embedding (N = sum d_v): both time alike at the
+library's sizes, but padding grows with the largest dimension, not with N.
+One energy and gradient, on 2 shared vCPUs with one BLAS thread:
+
+    w = 4 framed quiver (E = 8, d = 2)    23 us padded,  19 us embedded,  60 us lists
+    30-vertex thin chain (E = 29, d = 1)  12 us padded, 1180 us embedded, 362 us lists
+
+``energy``, ``grad_energy``, ``_hermitian_moment``, ``moment_real`` and
+``moment_complex`` pack once per call and read the same kernels as ``flow``,
+whose state stays packed.  The tangent-linear maps (rho*_x(X),
+``d_moment_real``, ``d_moment_complex`` and the S term of ``hessian_apply``)
+stay on lists through ``_assemble``: a trial that packed their identity
+batches once per call slowed ``hessian_spectrum`` at n = 432 from 23.8 to
+29.8 ms, so they move only once that batch is built packed.
 
 Numerical rank
 --------------
@@ -54,6 +84,7 @@ verdict; a zero or empty matrix has rank 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,6 +92,7 @@ import numpy as np
 from .quiver import Quiver, check_dims, degree_rank_slope
 
 Mats = "list[np.ndarray]"
+_UNPAIRED = "unpaired edge: quiver carries no doubling metadata"
 
 
 @dataclass(eq=False)
@@ -274,12 +306,130 @@ def inf_action_adjoint(x: Representation, X: Mats, flavor: str = "compact") -> M
 
 
 # ---------------------------------------------------------------------------
+# packed layout (module docstring)
+
+
+class _Layout:
+    """The packed layout of one quiver and dimension vector."""
+
+    def __init__(self, quiver: Quiver, vdims: tuple[int, ...]):
+        E, V = quiver.nedges, len(vdims)
+        self.vertices, self.vdims = quiver.vertices, vdims
+        self.d = d = max(vdims, default=0)
+        ends = np.array(quiver.ends, dtype=np.intp).reshape(E, 2)
+        self.tails, self.heads = ends[:, 0], ends[:, 1]
+        self.shapes = [(vdims[h], vdims[t]) for t, h in quiver.ends]
+        self.inc = _incidence(V, self.heads, self.tails, 0.5)
+        self.pairs = None
+        if quiver.pairing is not None:
+            a, abar = np.array(quiver.pairing, dtype=np.intp).reshape(-1, 2).T
+            self.pairs = a, abar, _incidence(V, self.heads[a], self.tails[a], 1.0)
+        # the (vertex, i) positions of the live diagonal entries (v, i, i)
+        self.diag = np.nonzero(np.arange(d) < np.array(vdims, dtype=np.intp).reshape(V, 1))
+
+    def pack(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        """Edge matrices, with any leading batch axes, as one padded array."""
+        # the assignment below broadcasts the other edges to the longest batch
+        batch = max((np.shape(m)[:-2] for m in mats), key=len, default=())
+        A = np.zeros(batch + (len(self.shapes), self.d, self.d), dtype=complex)
+        for e, ((r, c), m) in enumerate(zip(self.shapes, mats)):
+            A[..., e, :r, :c] = m
+        return A
+
+    def edges(self, A: np.ndarray) -> Mats:
+        """Views of the live corner of each padded edge matrix."""
+        return [A[..., e, :r, :c] for e, (r, c) in enumerate(self.shapes)]
+
+    def blocks(self, H: np.ndarray) -> Mats:
+        """Views of the live block of each padded vertex matrix."""
+        return [H[..., v, :n, :n] for v, n in enumerate(self.vdims)]
+
+    def shift(self, alpha: Mapping) -> np.ndarray:
+        """diag(alpha) on the live diagonal entries, shape (V, d, d)."""
+        if set(alpha) != set(self.vertices):
+            raise ValueError("weight keys must match dimension-vector keys")
+        a = np.array([float(alpha[v]) for v in self.vertices])
+        out = np.zeros((len(self.vdims), self.d, self.d), dtype=complex)
+        v, i = self.diag
+        out[v, i, i] = a[v]
+        return out
+
+
+def _incidence(V: int, heads: np.ndarray, tails: np.ndarray, c: float) -> np.ndarray:
+    """(V, 2n): +c at (heads[k], k) and -c at (tails[k], n + k)."""
+    n = len(heads)
+    inc = np.zeros((V, 2 * n), dtype=complex)
+    inc[heads, np.arange(n)] = c
+    inc[tails, n + np.arange(n)] = -c
+    return inc
+
+
+@lru_cache(maxsize=256)
+def _layout_of(quiver: Quiver, vdims: tuple[int, ...]) -> _Layout:
+    return _Layout(quiver, vdims)
+
+
+def _layout(quiver: Quiver, dims: Mapping[str, int]) -> _Layout:
+    return _layout_of(quiver, tuple(dims[v] for v in quiver.vertices))
+
+
+def _packed(x: Representation) -> tuple[_Layout, np.ndarray]:
+    lay = _layout(x.quiver, x.dims)
+    return lay, lay.pack(x.mats)
+
+
+def _incidence_sum(inc: np.ndarray, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """inc @ [L; R] over the edge axis, from (..., n, d, d) to (..., V, d, d)."""
+    P = np.concatenate((L, R), axis=-3)
+    d = P.shape[-1]
+    out = inc @ P.reshape(P.shape[:-2] + (d * d,))
+    return out.reshape(out.shape[:-1] + (d, d))
+
+
+def _hermitian(lay: _Layout, A: np.ndarray, shift) -> np.ndarray:
+    """Packed H = (1/2) rho*_x(A) + shift, the one place that builds H."""
+    Ah = _adj(A)
+    return _incidence_sum(lay.inc, A @ Ah, Ah @ A) + shift
+
+
+def _rho(lay: _Layout, H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Packed rho_x(H) = H[heads] @ A - A @ H[tails]."""
+    return H.take(lay.heads, axis=-3) @ A - A @ H.take(lay.tails, axis=-3)
+
+
+def _gradient(lay: _Layout, A: np.ndarray, shift) -> np.ndarray:
+    """The packed gradient of the energy."""
+    return _rho(lay, _hermitian(lay, A, shift), A)
+
+
+def _energy_and_grad(lay: _Layout, A: np.ndarray, shift) -> tuple[float, np.ndarray]:
+    """The packed energy and gradient from one H."""
+    H = _hermitian(lay, A, shift)
+    return 0.5 * _sqnorm(H), _rho(lay, H, A)
+
+
+def _complex_moment(lay: _Layout, A: np.ndarray) -> np.ndarray:
+    """Packed complex moment map: the incidence sum over the doubled pairs."""
+    if lay.pairs is None:
+        raise ValueError(_UNPAIRED)
+    a, abar, inc = lay.pairs
+    Aa, Bb = A.take(a, axis=-3), A.take(abar, axis=-3)
+    return _incidence_sum(inc, Aa @ Bb, Bb @ Aa)
+
+
+def _sqnorm(a: np.ndarray) -> float:
+    """sum |a|^2 over every entry and batch index."""
+    return float(np.vdot(a, a).real)
+
+
+# ---------------------------------------------------------------------------
 # moment maps
 
 
 def moment_real(x: Representation) -> Mats:
     """(1/2i) sum_a [A_a, A_a*] per vertex, that is (1/2i) rho*_x(A); anti-Hermitian."""
-    return [(1.0 / 2.0j) * u for u in inf_action_adjoint(x, x.mats, flavor="full")]
+    lay, A = _packed(x)
+    return lay.blocks(-1j * _hermitian(lay, A, 0.0))
 
 
 def d_moment_real(x: Representation, X: Mats) -> Mats:
@@ -292,14 +442,15 @@ def _paired_edges(q: Quiver, mats: Sequence[np.ndarray]):
     """The (tail, head) positions of edge a of each doubled pair (a, abar),
     with the pairs' matrices mats[a] and mats[abar]."""
     if q.pairing is None:
-        raise ValueError("unpaired edge: quiver carries no doubling metadata")
+        raise ValueError(_UNPAIRED)
     return ([q.ends[a] for a, _ in q.pairing], [mats[a] for a, _ in q.pairing],
             [mats[ab] for _, ab in q.pairing])
 
 
 def moment_complex(x: Representation) -> Mats:
     """Per-vertex assembly of sum over pairs [A_a, B_abar]; needs pairing."""
-    return _assemble(x, *_paired_edges(x.quiver, x.mats))
+    lay, A = _packed(x)
+    return lay.blocks(_complex_moment(lay, A))
 
 
 def d_moment_complex(x: Representation, X: Mats) -> Mats:
@@ -315,29 +466,20 @@ def d_moment_complex(x: Representation, X: Mats) -> Mats:
 
 def _hermitian_moment(x: Representation, alpha: Mapping) -> Mats:
     """H = (1/2) rho*_x(A) + alpha_j id_j per vertex (module docstring)."""
-    if set(alpha) != set(x.dims):
-        raise ValueError("weight keys must match dimension-vector keys")
-    out = [0.5 * u for u in inf_action_adjoint(x, x.mats, flavor="full")]
-    for h, v in zip(out, x.quiver.vertices):
-        # a diagonal view, never a copy, so the shift reaches every batch index
-        np.einsum("...ii->...i", h)[...] += float(alpha[v])
-    return out
+    lay, A = _packed(x)
+    return lay.blocks(_hermitian(lay, A, lay.shift(alpha)))
 
 
 def energy(x: Representation, alpha: Mapping) -> float:
     """f = (1/2)|mu - alpha|^2 = (1/2)|H|^2."""
-    return 0.5 * mats_norm(_hermitian_moment(x, alpha)) ** 2
+    lay, A = _packed(x)
+    return 0.5 * _sqnorm(_hermitian(lay, A, lay.shift(alpha)))
 
 
 def grad_energy(x: Representation, alpha: Mapping) -> Mats:
     """The gradient rho_x(H) of the energy."""
-    return inf_action(x, _hermitian_moment(x, alpha))
-
-
-def _energy_and_grad(x: Representation, alpha: Mapping) -> tuple[float, Mats]:
-    """energy and grad_energy at x from one H."""
-    H = _hermitian_moment(x, alpha)
-    return 0.5 * mats_norm(H) ** 2, inf_action(x, H)
+    lay, A = _packed(x)
+    return lay.edges(_gradient(lay, A, lay.shift(alpha)))
 
 
 def hessian_apply(x: Representation, alpha: Mapping, X: Mats) -> Mats:

@@ -21,7 +21,7 @@ from quiverflow.flow import (
     resolve_constraint,
     trajectory_csv,
 )
-from quiverflow.quiver import Quiver, crawley_boevey_frame
+from quiverflow.quiver import Quiver, crawley_boevey_frame, double_quiver
 from quiverflow.rep import (
     Representation,
     _view,
@@ -30,6 +30,7 @@ from quiverflow.rep import (
     grad_energy,
     group_act,
     mats_norm,
+    moment_complex,
     random_rep,
     rep_distance,
 )
@@ -213,22 +214,131 @@ def _loop_multi_edge_zero_dim():
     return random_rep(q, dims, np.random.default_rng(8)), {"1": 0.5, "2": -1.0, "3": 0.7}
 
 
+def _per_edge(x, alpha):
+    """H, the gradient, mu_C and the energy at an unbatched x, summed edge by
+    edge from the definitions in the rep module docstring."""
+    q = x.quiver
+    H = [float(alpha[v]) * np.eye(x.dims[v], dtype=complex) for v in q.vertices]
+    for (t, h), m in zip(q.ends, x.mats):
+        H[h] = H[h] + 0.5 * m @ m.conj().T
+        H[t] = H[t] - 0.5 * m.conj().T @ m
+    G = [H[h] @ m - m @ H[t] for (t, h), m in zip(q.ends, x.mats)]
+    M = [np.zeros((x.dims[v], x.dims[v]), dtype=complex) for v in q.vertices]
+    for a, ab in q.pairing or ():
+        t, h = q.ends[a]
+        M[h] = M[h] + x.mats[a] @ x.mats[ab]
+        M[t] = M[t] - x.mats[ab] @ x.mats[a]
+    return H, G, M, 0.5 * sum(np.sum(np.abs(b) ** 2) for b in H)
+
+
+def _live(x):
+    """True on the live corner of each padded edge matrix of x."""
+    lay = rep._layout(x.quiver, x.dims)
+    live = np.zeros((x.quiver.nedges, lay.d, lay.d), dtype=bool)
+    for e, (r, c) in enumerate(lay.shapes):
+        live[e, :r, :c] = True
+    return live
+
+
+def _packed_cases():
+    rng = np.random.default_rng(18)
+    loop, alpha = _loop_multi_edge_zero_dim()
+    doubled = double_quiver(loop.quiver)
+    framed = double_quiver(crawley_boevey_frame(Quiver(("1",), ()), {"1": 3}))
+    edgeless = Quiver(("1", "2"), ())
+    two, alpha2 = random_doubled(3)
+    offset = [m + 0.5 for m in two.mats]
+    return {
+        "loop_multi_edge_zero_dim": (loop, alpha),
+        "doubled_loop_multi_edge_zero_dim": (random_rep(doubled, loop.dims, rng), alpha),
+        "framed": (random_rep(framed, {"1": 2, "inf": 1}, rng), {"1": 1.0, "inf": -2.0}),
+        "no_edges": (random_rep(edgeless, {"1": 2, "2": 1}, rng), {"1": 0.3, "2": -0.6}),
+        "zero_dims": (random_rep(doubled, {"1": 0, "2": 0, "3": 0}, rng), alpha),
+        "batch_of_two": (_view(two, [np.stack(p) for p in zip(two.mats, offset)]), alpha2),
+    }
+
+
+def test_packed_kernels_match_a_per_edge_loop():
+    # the packed kernels behind the public H, gradient, mu_C and energy agree
+    # with the per-edge sums, and the padding of the packed gradient is 0
+    def close(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+    for name, (x, alpha) in _packed_cases().items():
+        batch = x.mats[0].shape[:-2] if x.mats else ()
+        points = [x] if not batch else [_view(x, [m[k] for m in x.mats]) for k in range(batch[0])]
+        H = rep._hermitian_moment(x, alpha)
+        G = grad_energy(x, alpha)
+        M = moment_complex(x) if x.quiver.pairing else None
+        total = 0.0
+        for k, y in enumerate(points):
+            at = (lambda a: a[k]) if batch else (lambda a: a)
+            H_k, G_k, M_k, f_k = _per_edge(y, alpha)
+            for got, want in zip(H, H_k):
+                close(at(got), want)
+            for got, want in zip(G, G_k):
+                close(at(got), want)
+            for got, want in zip(M or (), M_k):
+                close(at(got), want)
+            total += f_k
+        assert abs(energy(x, alpha) - total) <= 1e-13 * max(1.0, total), name
+        lay = rep._layout(x.quiver, x.dims)
+        packed = rep._gradient(lay, lay.pack(x.mats), lay.shift(alpha))
+        assert np.all(packed[..., ~_live(x)] == 0), name
+
+
+def test_packed_weights_must_match_dims():
+    x, alpha = _loop_multi_edge_zero_dim()
+    bad = {"1": 0.5, "2": -1.0}
+    for call in (lambda: energy(x, bad), lambda: grad_energy(x, bad),
+                 lambda: rep._hermitian_moment(x, bad), lambda: flow(x, bad)):
+        with pytest.raises(ValueError, match="weight keys must match dimension-vector keys"):
+            call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (framed_a1_rep(0.0, 3.0), framed_a1_weights()),
+    _loop_multi_edge_zero_dim,
+], ids=["framed_a1", "loop_multi_edge_zero_dim"])
+def test_flow_keeps_padding_zero(monkeypatch, make):
+    # the start and every trial point that passes the step-error test go
+    # through _energy_and_grad, so every accepted state is checked there
+    x0, alpha = make()
+    live = _live(x0)
+    flow_module = sys.modules[flow.__module__]
+    energy_and_grad = flow_module._energy_and_grad
+    states = []
+
+    def checked(lay, A, shift):
+        states.append(A)
+        return energy_and_grad(lay, A, shift)
+
+    monkeypatch.setattr(flow_module, "_energy_and_grad", checked)
+    r = flow(x0, alpha, FlowOptions(dt_init=0.5, max_steps=60))
+    assert len(states) >= r.steps + 1 and r.steps > 10
+    for A in states:
+        assert np.all(A[..., ~live] == 0)
+
+
 @pytest.mark.parametrize("make", [lambda: random_doubled(3), _loop_multi_edge_zero_dim],
                          ids=["random_doubled", "loop_multi_edge_zero_dim"])
 def test_rk4_batched_step_sizes_match_scalar_calls(make):
     # flow takes the full step and the first half step as one batch of two
     # step sizes; each must be bitwise the step that a scalar dt gives
     x, alpha = make()
+    lay = rep._layout(x.quiver, x.dims)
+    shift = lay.shift(alpha)
 
-    def grad(mats):
-        return grad_energy(_view(x, mats), alpha)
+    def grad(A):
+        return rep._gradient(lay, A, shift)
 
-    k1 = grad(x.mats)
+    A = lay.pack(x.mats)
+    k1 = grad(A)
     h = 0.3
-    both = _rk4(grad, x.mats, k1, np.array([h, h / 2.0])[:, None, None])
+    both = _rk4(grad, A, k1, np.array([h, h / 2.0])[:, None, None, None])
     for k, dt in enumerate((h, h / 2.0)):
-        for b, s in zip(both, _rk4(grad, x.mats, k1, dt)):
-            assert np.array_equal(b[k], s)
+        assert np.array_equal(both[k], _rk4(grad, A, k1, dt))
 
 
 @pytest.mark.parametrize("make", [
@@ -244,22 +354,23 @@ def test_flow_builds_h_once_per_point(monkeypatch, make):
     x0, alpha = make()
     seen = []
     attempts = []
-    hermitian_moment = rep._hermitian_moment
+    hermitian = rep._hermitian
     flow_module = sys.modules[flow.__module__]
 
-    def recorded(x, a):
-        seen.append(b"".join(np.asarray(m).tobytes() for m in x.mats))
-        return hermitian_moment(x, a)
+    def recorded(lay, A, shift):
+        seen.append(A.tobytes())
+        return hermitian(lay, A, shift)
 
     def counted(*args):
         attempts.append(np.ndim(args[3]) > 0)  # the batched call opens an attempt
         return _rk4(*args)
 
-    monkeypatch.setattr(rep, "_hermitian_moment", recorded)
+    monkeypatch.setattr(rep, "_hermitian", recorded)
     monkeypatch.setattr(flow_module, "_rk4", counted)
     r = flow(x0, alpha, FlowOptions(dt_init=0.5))
     assert r.status == "converged"
     n = sum(attempts)
     assert n >= r.steps > 10
-    assert len(seen) <= 8 * n + 1
+    # every attempt builds H at least for its 7 stages, so the hook sees them
+    assert 7 * n + 1 <= len(seen) <= 8 * n + 1
     assert len(set(seen)) == len(seen)

@@ -12,9 +12,10 @@ from quiverflow.fixtures import (
     random_plain,
 )
 from quiverflow.oracles import fd_gradient, fd_hessian
-from quiverflow.quiver import Quiver
+from quiverflow.quiver import Quiver, double_quiver
 from quiverflow.rep import (
     Representation,
+    _hermitian_moment,
     _view,
     add_tangent,
     d_moment_complex,
@@ -209,9 +210,34 @@ def test_edge_to_vertex_kernels_are_batch_safe():
             for g, w in zip(got, want):
                 assert g.shape == (3,) + w.shape, name
                 assert_allclose(g[k], w, rtol=1e-13, atol=1e-13, err_msg=name)
-    # every vertex of the fixture meets an edge, so energy sums over the batch
+    # energy sums over the batch
     total = sum(energy(_view(x, [m[k] for m in batch]), alpha) for k in range(3))
     assert energy(_view(x, batch), alpha) == pytest.approx(total, rel=1e-13)
+
+
+def test_batched_base_points_with_an_edgeless_vertex():
+    # vertex "3" meets no edge: its block of H still carries the batch axis,
+    # so energy counts its alpha once per batch index
+    q = Quiver(("1", "2", "3"), (("1", "2"),))
+    dims = {"1": 1, "2": 1, "3": 2}
+    alpha = {"1": 0.5, "2": -1.0, "3": 0.7}
+    rng = np.random.default_rng(3)
+    for quiver in (q, double_quiver(q)):
+        x = random_rep(quiver, dims, rng)
+        batch = [np.stack([(k + 1) * m for k in range(3)]) for m in x.mats]
+        points = [_view(x, [m[k] for m in batch]) for k in range(3)]
+        total = sum(energy(y, alpha) for y in points)
+        assert energy(_view(x, batch), alpha) == pytest.approx(total, rel=1e-13)
+        kernels = {"_hermitian_moment": lambda y: _hermitian_moment(y, alpha),
+                   "moment_real": moment_real}
+        if quiver.pairing:
+            kernels["moment_complex"] = moment_complex
+        for name, kernel in kernels.items():
+            got = kernel(_view(x, batch))
+            for k, y in enumerate(points):
+                for g, w in zip(got, kernel(y)):
+                    assert g.shape == (3,) + w.shape, name
+                    assert_allclose(g[k], w, rtol=1e-13, atol=1e-13, err_msg=name)
 
 
 def test_unitary_equivariance():
