@@ -18,9 +18,10 @@ Under (x, alpha) -> (c x, c^2 alpha) a tolerance must scale with the degree of
 what it compares: x has degree 1; mu, alpha and the eigenvalues of H and of
 the Hessian have degree 2; the gradient has degree 3.  So every eigenvalue
 decision (clustering, slope match, sign, leak mask) uses the gap
-cluster_tol * max(|x|^2, max |alpha|), and the gradient gate is
-10 grad_tol max(1, |x|)^3.  A negative Hessian eigenvector X may have
-|rho*_x X| up to 1e-8 |X| |x| and leak up to 1e-8 |X| out of its blocks.
+cluster_tol * max(|x|^2, max |alpha|), the block residuals of x are gated at
+block_tol |x|, and the gradient gate is 10 grad_tol max(1, |x|)^3.  A
+negative Hessian eigenvector X may have |rho*_x X| up to 1e-8 |X| |x| and
+leak up to 1e-8 |X| out of its blocks.
 ``_outside`` and the negative-vector checks take tangents with a leading batch
 axis, one batch per eigenvalue cluster of the Hessian.
 """
@@ -34,8 +35,9 @@ from .quiver import canonical_stability
 from .rep import (
     Representation,
     _adj,
+    _assemble,
     _hermitian_moment,
-    _view,
+    _paired_edges,
     d_moment_complex,
     edge_shapes,
     grad_energy,
@@ -43,7 +45,6 @@ from .rep import (
     inf_action_adjoint,
     mats_norm,
     matrix_of,
-    moment_complex,
     null_space,
     numerical_rank,
     slope_float,
@@ -125,6 +126,7 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
         g = mats_norm(grad_energy(x, alpha))
         scale = max(1.0, x.norm())
     bound = _GRAD_FACTOR * tols.grad_tol
+    # the floor max(1, |x|) stays because ``flow`` stops at an absolute grad_tol
     # (x, alpha) -> (c x, c^2 alpha) scales the gradient by c^3; dividing by
     # the scale one factor at a time cannot overflow, and a NaN fails the test
     if not g / scale / scale / scale < bound:
@@ -143,7 +145,7 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
               for j in range(len(groups))]
 
     offdiag = _outside(q, bases, labels, x.mats, np.equal)
-    if offdiag > tols.block_tol:
+    if offdiag > tols.block_tol * x.norm():
         raise ValueError(f"block structure violated: off-diagonal residual {offdiag:.3e}")
 
     for lam, blk in zip(eigenvalues, blocks):
@@ -257,7 +259,7 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
     # the complement representation must vanish
     leak = _outside(q, profile.bases, profile.labels, x.mats,
                     lambda h, t: (h == j1) | (t == j1))
-    if leak > tols.block_tol * (1.0 + x.norm()):
+    if leak > tols.block_tol * x.norm():
         raise ValueError("not a C0 critical point: complement block is nonzero")
 
     P1 = [b[:, lab == j1] for b, lab in zip(profile.bases, profile.labels)]
@@ -270,9 +272,11 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
     null = null_space(A, tols.rank_tol)
     deltas = to_tangent(unravel_real(null.T, coeff_shapes))
     if q.pairing is not None:
-        # each delta is a unit vector (orthonormal coefficients, isometric
-        # to_tangent), so the gate is 1e-9 (|x| + |delta|)^2: degree 2, as mu_C
-        drift = _batch_norm(moment_complex(_view(x, [m + d for m, d in zip(x.mats, deltas)])))
+        # kept with its floor: each delta is a unit vector (orthonormal
+        # coefficients, isometric to_tangent), so 1e-9 (|x| + |delta|)^2 is
+        # already degree 2, as mu_C; mu_C runs on lists (``rep``, "Packed layout")
+        ends, A, B = _paired_edges(q, [m + d for m, d in zip(x.mats, deltas)])
+        drift = _batch_norm(_assemble(x, ends, A, B))
         if np.any(drift > 1e-9 * (1.0 + x.norm()) ** 2):
             raise ValueError(f"slice vector leaves the constraint set ({np.max(drift):.3e})")
     basis = [list(X) for X in zip(*deltas)]
@@ -284,7 +288,7 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
 # incoming-image strata
 
 
-def stratum_codim(x: Representation, k: str, rank_tol: float = 1e-9) -> int:
+def stratum_codim(x: Representation, k: str) -> int:
     """Codimension at vertex k of the span of all incoming edge images."""
     q = x.quiver
     if k not in q.vertices:
@@ -294,5 +298,5 @@ def stratum_codim(x: Representation, k: str, rank_tol: float = 1e-9) -> int:
     dk = x.dims[k]
     # the empty leading block keeps the shape when no edge comes in
     M = np.hstack([np.zeros((dk, 0))] + [x.mats[e] for e in q.edges_into(k)])
-    return dk - numerical_rank(np.linalg.svd(M, compute_uv=False), M.shape, rank_tol)
+    return dk - numerical_rank(np.linalg.svd(M, compute_uv=False), M.shape, 1e-9)
 

@@ -37,17 +37,18 @@ def _central_differences(x: Representation, f, h: float, out: np.ndarray) -> np.
     return out
 
 
-def fd_gradient(x: Representation, alpha, h: float = 1e-5):
-    """Central-difference gradient of the energy in real coordinates."""
+def fd_gradient(x: Representation, alpha):
+    """Central-difference gradient of the energy in real coordinates, step 1e-5."""
     n = len(ravel_real(x.mats))
-    out = _central_differences(x, lambda y: energy(y, alpha), h, np.zeros(n))
+    out = _central_differences(x, lambda y: energy(y, alpha), 1e-5, np.zeros(n))
     return unravel_real(out, edge_shapes(x.quiver, x.dims))
 
 
-def fd_hessian(x: Representation, alpha, h: float = 1e-4) -> np.ndarray:
-    """Central-difference Jacobian of the gradient; symmetric up to O(h^2)."""
+def fd_hessian(x: Representation, alpha) -> np.ndarray:
+    """Central-difference Jacobian of the gradient, step h = 1e-4; symmetric
+    up to O(h^2)."""
     n = len(ravel_real(x.mats))
-    out = _central_differences(x, lambda y: ravel_real(grad_energy(y, alpha)), h,
+    out = _central_differences(x, lambda y: ravel_real(grad_energy(y, alpha)), 1e-4,
                                np.zeros((n, n)))
     return 0.5 * (out + out.T)
 
@@ -64,14 +65,11 @@ def _thin_support(x: Representation) -> tuple[str, ...]:
 
 
 def _edge_pairs(x: Representation, threshold: float):
-    """Edges acting nontrivially, as (tail, head) vertex pairs."""
-    q = x.quiver
-    pairs = []
-    for e in range(q.nedges):
-        m = x.mats[e]
-        if m.size and np.abs(m[0, 0]) > threshold:
-            pairs.append((q.tail(e), q.head(e)))
-    return pairs
+    """Edges acting nontrivially, as (tail, head) vertex pairs: an entry acts
+    above threshold times the largest edge entry, both of degree 1."""
+    entries = [abs(m[0, 0]) if m.size else 0.0 for m in x.mats]
+    cut = threshold * max(entries, default=0.0)
+    return [ends for ends, a in zip(x.quiver.edges, entries) if a > cut]
 
 
 def _closed(subset: frozenset, pairs, alive: frozenset) -> bool:
@@ -93,8 +91,9 @@ def thin_hn_type(x: Representation, alpha, threshold: float = 1e-12):
 
     Returns a list of (dims, slope) pairs with strictly decreasing slopes.
     At each stage the subset of maximal slope, then maximal size, is split
-    off and its vertices are deleted from the quotient.  ``threshold`` is
-    the magnitude above which an edge counts as acting; it must be finite and
+    off and its vertices are deleted from the quotient.  An edge counts as
+    acting when its entry exceeds ``threshold`` times the largest edge entry,
+    so rescaling x keeps the type; ``threshold`` must be finite and
     nonnegative.  ``alpha`` weights exactly the vertices of x.
     """
     if not (np.isfinite(threshold) and threshold >= 0):

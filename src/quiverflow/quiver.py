@@ -212,12 +212,12 @@ def reverse_quiver(q: Quiver) -> Quiver:
     )
 
 
-def crawley_boevey_frame(q: Quiver, w: Mapping[str, int], infinity: str = "inf") -> Quiver:
-    """Adjoin a framing vertex with w[i] edges into each vertex i."""
+def crawley_boevey_frame(q: Quiver, w: Mapping[str, int]) -> Quiver:
+    """Adjoin the framing vertex "inf" with w[i] edges into each vertex i."""
     if q.infinity is not None:
         raise ValueError("quiver already has a distinguished vertex")
-    if infinity in q.vertices:
-        raise ValueError(f"framing vertex id {infinity!r} already in use")
+    if "inf" in q.vertices:
+        raise ValueError("framing vertex id 'inf' already in use")
     if set(w) - set(q.vertices):
         raise ValueError("framing weights mention unknown vertices")
     w = {v: _dim(v, c, "framing weight") for v, c in w.items()}
@@ -225,12 +225,12 @@ def crawley_boevey_frame(q: Quiver, w: Mapping[str, int], infinity: str = "inf")
     labels = list(q.labels) if q.labels is not None else [None] * q.nedges
     for v in q.vertices:
         for j in range(w.get(v, 0)):
-            edges.append((infinity, v))
+            edges.append(("inf", v))
             labels.append(f"a_{v}^{j + 1}")
     return Quiver(
-        vertices=q.vertices + (infinity,),
+        vertices=q.vertices + ("inf",),
         edges=tuple(edges),
-        infinity=infinity,
+        infinity="inf",
         labels=tuple(labels),
     )
 
@@ -239,14 +239,14 @@ def crawley_boevey_frame(q: Quiver, w: Mapping[str, int], infinity: str = "inf")
 # handsaw quivers
 
 
-def handsaw_to_quiver(n: int, dims_v: tuple, dims_w: tuple, infinity: str = "inf"):
+def handsaw_to_quiver(n: int, dims_v: tuple, dims_w: tuple):
     """Build the framed chain quiver for a length-n handsaw.
 
-    Vertices V_1..V_{n-1} plus the distinguished vertex; B1 edges along the
-    chain, B2 loops, dims_w[k-1] edges inf->V_k and dims_w[k] edges V_k->inf.
+    Vertices V_1..V_{n-1} plus the distinguished vertex "inf"; B1 edges along
+    the chain, B2 loops, dims_w[k-1] edges inf->V_k and dims_w[k] edges V_k->inf.
     Returns the quiver and its dimension vector.
     """
-    n = int(n)
+    n, infinity = int(n), "inf"
     if n < 2:
         raise ValueError("handsaw needs n >= 2")
     dims_v = tuple(_dim(f"V{k}", d) for k, d in enumerate(dims_v, 1))

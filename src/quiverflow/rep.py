@@ -67,9 +67,13 @@ One energy and gradient, on 2 shared vCPUs with one BLAS thread:
 ``moment_complex`` pack once per call and read the same kernels as ``flow``,
 whose state stays packed.  The tangent-linear maps (rho*_x(X),
 ``d_moment_real``, ``d_moment_complex`` and the S term of ``hessian_apply``)
-stay on lists through ``_assemble``: a trial that packed their identity
-batches once per call slowed ``hessian_spectrum`` at n = 432 from 23.8 to
-29.8 ms, so they move only once that batch is built packed.
+stay on lists through ``_assemble``, because padding skinny framed edges
+((6, 1) and (1, 6) padded to 6 x 6) multiplies their flops.  On the padded
+layout, rho*, dmu_C and the Hessian made the 15 ``negative_slice_basis``
+tasks of the benchmark 15 % slower (w = 4, d = 6 by 1.44x), and
+``hessian_matrix`` at n = 432 1.3x slower as one batch, reaching parity only
+in 128-column blocks.  The same holds for base points under a batch of
+directions, such as the slice drift check of ``critical``.
 
 Numerical rank
 --------------
@@ -80,6 +84,23 @@ sigma > max(tol, max(m, n) eps) sigma_max, with the caller's relative tol and
 eps the float64 machine epsilon (Golub-Van Loan, Matrix Computations, 5.4).
 The cut scales with the data, so rescaling a representation never flips a
 verdict; a zero or empty matrix has rank 0.
+
+Tolerances
+----------
+Under (x, alpha) -> (c x, c^2 alpha) flow lines, critical points of a given
+type and Hecke pairs go to objects of the same kind, so no verdict may depend
+on c.  The rule: each quantity is compared with a tolerance of its own
+degree.  Edge entries, distances between representations and intertwining
+residuals have degree 1, and their gates are tol |x|, or tol (|x1| + |x2|)
+and tol max(|x1|, |x2|) over a pair; mu, alpha and the eigenvalues of H and
+of the Hessian have degree 2 (``critical``); the gradient has degree 3.  A
+group element or intertwiner is fixed only up to a scalar, so a test on one
+of its entries is relative to its largest entry.  An all-zero input keeps
+the verdict of an absolute floor: a residual gate passes on 0 <= 0 and a
+degeneracy test fails on it.  Four decisions keep an absolute part, each
+with its reason where it is made: the gradient gate of ``classify_critical``,
+the slice drift gate of ``negative_slice_basis``, the acceptance tests of
+``flow`` and the snap test of ``affine_project``.
 """
 from __future__ import annotations
 
@@ -143,10 +164,9 @@ def rep_distance(x: Representation, y: Representation) -> float:
     return mats_norm([a - b for a, b in zip(x.mats, y.mats)])
 
 
-def random_rep(quiver: Quiver, dims: Mapping[str, int], rng: np.random.Generator,
-               scale: float = 1.0) -> Representation:
+def random_rep(quiver: Quiver, dims: Mapping[str, int], rng: np.random.Generator) -> Representation:
     dims = check_dims(quiver, dims)
-    return Representation(quiver, dict(dims), random_mats(edge_shapes(quiver, dims), rng, scale))
+    return Representation(quiver, dict(dims), random_mats(edge_shapes(quiver, dims), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +181,8 @@ def vertex_shapes(quiver: Quiver, dims: Mapping[str, int]) -> list[tuple[int, in
     return [(dims[v], dims[v]) for v in quiver.vertices]
 
 
-def random_mats(shapes, rng: np.random.Generator, scale: float = 1.0) -> Mats:
-    return [scale * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2.0)
+def random_mats(shapes, rng: np.random.Generator) -> Mats:
+    return [(rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2.0)
             for s in shapes]
 
 
@@ -506,22 +526,13 @@ def embed_rep(x: Representation, big_dims: Mapping[str, int]) -> Representation:
     return direct_sum(x, Representation.zero(x.quiver, {v: big[v] - x.dims[v] for v in big}))
 
 
-def restrict_rep(x: Representation, small_dims: Mapping[str, int],
-                 tol: float | None = None) -> Representation:
-    """Keep the leading block; optionally insist the rest is negligible."""
+def restrict_rep(x: Representation, small_dims: Mapping[str, int]) -> Representation:
+    """Keep the leading block."""
     small = check_dims(x.quiver, small_dims)
     if any(small[v] > x.dims[v] for v in small):
         raise ValueError("target dimensions must be dominated by the representation")
-    q = x.quiver
-    mats = []
-    leak = 0.0
-    for e in range(q.nedges):
-        h, t = small[q.head(e)], small[q.tail(e)]
-        mats.append(x.mats[e][:h, :t].copy())
-        leak += float(np.sum(np.abs(x.mats[e]) ** 2) - np.sum(np.abs(x.mats[e][:h, :t]) ** 2))
-    if tol is not None and np.sqrt(max(leak, 0.0)) > tol * (1.0 + x.norm()):
-        raise ValueError("restriction discards non-negligible entries")
-    return Representation(q, small, mats)
+    mats = [m[:small[h], :small[t]].copy() for (t, h), m in zip(x.quiver.edges, x.mats)]
+    return Representation(x.quiver, small, mats)
 
 
 def direct_sum(x: Representation, y: Representation) -> Representation:

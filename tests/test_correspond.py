@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from quiverflow.fixtures import (
     chain2_rep,
     framed_a1,
     framed_a1_rep,
+    framed_a1w2,
     framed_a1w2_critical,
     framed_a1w2_rep,
     hs2,
@@ -105,6 +108,26 @@ def test_is_isomorphic_rejects_jordan_block():
     assert is_isomorphic(I2, chain2_rep(1.0))[0] is False
 
 
+def _hecke_pairs():
+    """A member and a non-member pair on the doubled w = 2 framed quiver,
+    dims (2, 1) -> (3, 1).  The member's x2 extends x1 by a b-edge column
+    and is hidden by a gauge at vertex 1; the non-member is a random pair."""
+    q = framed_a1w2()
+    rng = np.random.default_rng(5)
+    d1, d2 = {"1": 2, "inf": 1}, {"1": 3, "inf": 1}
+    x1 = random_rep(q, d1, rng)
+    mats = []
+    for (t, h), m1 in zip(q.edges, x1.mats):
+        m = np.zeros((d2[h], d2[t]), dtype=complex)
+        m[:d1[h], :d1[t]] = m1
+        if h == "inf":
+            m[0, 2] = 0.7 - 0.4j
+        mats.append(m)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    member = (x1, group_act([g, np.eye(1)], Representation(q, d2, mats)))
+    return member, (random_rep(q, d1, rng), random_rep(q, d2, rng))
+
+
 @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
 def test_rank_verdicts_scale_invariant(c):
     # rescaling every edge matrix by c leaves every rank verdict unchanged;
@@ -128,6 +151,15 @@ def test_rank_verdicts_scale_invariant(c):
     for m in (np.zeros((3, 2)), np.zeros((3, 0)), np.zeros((0, 3)), c * np.eye(3)[:, :2]):
         want = 2 if m.any() else 0
         assert numerical_rank(np.linalg.svd(m, compute_uv=False), m.shape, 1e-9) == want
+    # the Hecke residual gates are degree 1, like the residuals they bound
+    (m1, m2), (n1, n2) = _hecke_pairs()
+    xi = hecke_check(scaled(m1), scaled(m2), "1")
+    assert xi is not None and xi.injective
+    assert hecke_check(scaled(n1), scaled(n2), "1") is None
+    back = flowline_to_hecke(hecke_to_flowline(scaled(m1), scaled(m2), xi, "1"), "1")
+    assert back.injective
+    for v, b in xi.blocks.items():
+        np.testing.assert_allclose(back.blocks[v], b, rtol=0, atol=1e-12)
 
 
 def small_f1_rep():
@@ -176,6 +208,12 @@ def test_hecke_flowline_roundtrip():
     back = flowline_to_hecke(pair, "1")
     for v in x1.quiver.vertices:
         assert np.array_equal(back.blocks[v], xi.blocks[v])
+    # g is fixed only up to a scalar, so only an all-zero g is degenerate
+    tiny = flowline_to_hecke(replace(pair, g=[1e-20 * g for g in pair.g]), "1")
+    for v in x1.quiver.vertices:
+        np.testing.assert_allclose(tiny.blocks[v], xi.blocks[v], rtol=1e-15, atol=0)
+    with pytest.raises(ValueError, match="vanishing block"):
+        flowline_to_hecke(replace(pair, g=[0 * g for g in pair.g]), "1")
 
 
 def test_snap_rep_thresholds_entries():

@@ -172,13 +172,17 @@ def test_negative_slice_needs_canonical_weights():
         negative_slice_basis(x, {"1": 2, "inf": -2})
 
 
-@pytest.mark.parametrize("c", [5e-4, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("c", [5e-4, 1e-3, 1.0, 1e3, 1e8])
 def test_critical_type_and_negative_spectrum_scale_covariant(c):
     # (x, alpha) -> (c x, c^2 alpha) scales mu - alpha and the Hessian by c^2
-    # and the gradient by c^3, so the type and the scaled spectrum stay put
+    # and the gradient by c^3, so the type and the scaled spectrum stay put;
+    # a gauge at vertex 1 leaves a roundoff off-diagonal residual of degree 1
     w2 = framed_a1w2_critical(np.sqrt(1.5), np.sqrt(1.5))
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     for x, alpha in [(framed_a1_rep(0.0, np.sqrt(2)), framed_a1_weights()),
                      (w2, canonical_stability(w2.quiver, w2.dims)),
+                     (group_act([u, np.eye(1)], w2), canonical_stability(w2.quiver, w2.dims)),
                      (framed_a1_rep(0.0, 0.0), framed_a1_weights())]:
         _, _, ref = hessian_spectrum(x, alpha)
         y = Representation(x.quiver, x.dims, mats_scale(c, x.mats))

@@ -13,6 +13,7 @@ from quiverflow.fixtures import (
     random_plain,
 )
 import quiverflow.rep as rep
+from quiverflow.correspond import handsaw_constraint
 from quiverflow.flow import (
     FlowOptions,
     _rk4,
@@ -21,7 +22,7 @@ from quiverflow.flow import (
     resolve_constraint,
     trajectory_csv,
 )
-from quiverflow.quiver import Quiver, crawley_boevey_frame, double_quiver
+from quiverflow.quiver import Quiver, crawley_boevey_frame, double_quiver, handsaw_roles
 from quiverflow.rep import (
     Representation,
     _view,
@@ -178,6 +179,25 @@ def test_auto_constraint_on_framed_quiver():
     assert r.final_constraint == 0.0
     hs, _ = hs3((1, 1), (1, 1, 1))
     assert resolve_constraint(hs, "auto") == "handsaw"
+
+
+@pytest.mark.parametrize("start", ["level_set", "random"])
+def test_handsaw_flow_reports_its_constraint(start):
+    q, dims = hs3((1, 2), (1, 1, 1))
+    assert resolve_constraint(q, "auto") == "handsaw"
+    x = random_rep(q, dims, np.random.default_rng(0))
+    if start == "level_set":
+        # with B1 and every b-role edge zero, each handsaw slot vanishes
+        x = Representation(q, dims, [np.zeros_like(m) if role[0] in ("B1", "b") else m
+                                     for m, role in zip(x.mats, handsaw_roles(q))])
+    r = flow(x, {"V1": 1, "V2": 1, "inf": -3})
+    assert r.status == "converged"
+    assert r.final_constraint == pytest.approx(mats_norm(handsaw_constraint(r.limit)),
+                                               rel=1e-12, abs=0.0)
+    if start == "level_set":
+        assert r.final_constraint == 0.0
+    else:
+        assert r.final_constraint > 0.1
 
 
 def test_final_fields_consistent():

@@ -37,6 +37,14 @@ def test_thin_hn_frozen_small_cases():
         ({"1": 1, "inf": 0}, Fraction(1)), ({"1": 0, "inf": 1}, Fraction(-1))]
 
 
+@pytest.mark.parametrize("c", [1e-13, 1.0, 1e6])
+def test_thin_hn_scale_invariant(c):
+    # an edge acts relative to the largest edge entry, so rescaling keeps the
+    # one semistable piece; an absolute cut splits it into single vertices
+    x = chain3_rep(c, c)
+    assert thin_hn_type(x, chain3_weights()) == [({"1": 1, "2": 1, "3": 1}, Fraction(0))]
+
+
 def test_thin_hn_rejects_bad_input():
     with pytest.raises(ValueError):
         thin_hn_type(jordan_rep(np.eye(2)), {"1": 0})
