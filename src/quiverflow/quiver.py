@@ -136,10 +136,6 @@ def check_dims(q: Quiver, dims: Mapping[str, int]) -> dict[str, int]:
     return {v: _dim(v, d) for v, d in dims.items()}
 
 
-def dim_total(dims: Mapping[str, int]) -> int:
-    return sum(int(d) for d in dims.values())
-
-
 # ---------------------------------------------------------------------------
 # stability parameters
 
@@ -156,7 +152,7 @@ def degree_rank_slope(alpha: Mapping, vp: Mapping[str, int]):
     """
     if set(alpha) != set(vp):
         raise ValueError("weight keys must match dimension-vector keys")
-    rank = dim_total(vp)
+    rank = sum(int(d) for d in vp.values())
     if rank == 0:
         raise ValueError("slope of the zero dimension vector is undefined")
     if _exact(alpha.values()):

@@ -14,6 +14,7 @@ from quiverflow.fixtures import (
     hs2_rep,
     jordan_rep,
 )
+from quiverflow.quiver import Quiver
 from quiverflow.rep import Representation
 from quiverflow.serde import quiver_to_json, rep_to_json
 
@@ -157,6 +158,33 @@ def test_hn_thin_oracle(f1_files):
     code, _, err = run_cli("hn", f1_files["rep"], "canonical", "--threshold", "-1")
     assert code == 2
     assert "threshold" in err
+
+
+def test_hn_thin_chain_60_vertices(tmp_path):
+    # chain 1 -> ... -> 60 in three blocks of 20, weights made block by block
+    # from the tail end: in a block every proper suffix has a smaller slope,
+    # and the block slopes fall, so the filtration is the blocks.  Subset
+    # enumeration would list 2^60 sets; the subprocess timeout pins that the
+    # oracle behind `hn` is polynomial.
+    rng = np.random.default_rng(60)
+    n, size = 60, 20
+    vs = tuple(str(i) for i in range(1, n + 1))
+    q = Quiver(vs, tuple(zip(vs, vs[1:])))
+    alpha, expect, slope, end = {}, [], int(rng.integers(4, 8)), n
+    for _ in range(3):
+        block = vs[end - size:end]
+        suffix = [0] + [-int(rng.integers(1, 4)) for _ in range(size - 1)] + [0]
+        for j in range(1, size + 1):  # j-th vertex counted from the block's end
+            alpha[block[size - j]] = slope + suffix[j] - suffix[j - 1]
+        expect.append({"dims": {v: int(v in block) for v in vs}, "slope": f"{slope}/1"})
+        slope -= int(rng.integers(2, 5))
+        end -= size
+    mats = [rng.uniform(0.5, 2.0) * np.ones((1, 1), dtype=complex) for _ in range(n - 1)]
+    rep = write_rep(tmp_path / "chain.json", Representation(q, {v: 1 for v in vs}, mats))
+    weights = write_json(tmp_path / "weights.json", {"weights": alpha})
+    code, out, err = run_cli("hn", rep, weights, timeout=30)
+    assert code == 0, err
+    assert json.loads(out)["result"]["filtration"] == expect
 
 
 def test_hecke_membership_exit_codes(f1_files):

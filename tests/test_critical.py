@@ -14,7 +14,6 @@ from quiverflow.critical import (
 from quiverflow.fixtures import (
     chain2_rep,
     chain2_weights,
-    framed_a1,
     framed_a1_rep,
     framed_a1_weights,
     framed_a1w2_critical,

@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from quiverflow.fixtures import (
     jordan_rep,
 )
 from quiverflow.flow import FlowOptions, flow
-from quiverflow.oracles import thin_hn_type
+from quiverflow.oracles import _edge_pairs, thin_hn_type
 from quiverflow.quiver import Quiver, reverse_quiver
 from quiverflow.rep import Representation, group_act, random_rep
 
@@ -113,3 +114,113 @@ def test_flow_limits_match_thin_filtration():
             prof = classify_critical(r.limit, alpha, ClassifyTols(block_tol=1e-6))
             expect = [d for d, _ in thin_hn_type(x, alpha)]
             assert partition(prof.critical_type) == partition(expect)
+
+
+# ---------------------------------------------------------------------------
+# the filtration by its definition, as a cross-check of the cut oracle
+
+
+def _closed(subset: frozenset, pairs, alive: frozenset) -> bool:
+    for t, h in pairs:
+        if t in subset and h in alive and h not in subset:
+            return False
+    return True
+
+
+def _slope(alpha, subset) -> Fraction:
+    total = Fraction(0)
+    for v in subset:
+        total += Fraction(alpha[v])
+    return total / len(subset)
+
+
+def enumerated_hn_type(x, alpha, threshold=1e-12):
+    """The thin filtration by subset enumeration, exponential in the vertices:
+    at each stage every closed vertex set of the quotient is listed and the
+    one of maximal slope, then maximal size, is split off.  Also returns the
+    number of stages at which a smaller closed set ties the maximal slope."""
+    pairs = _edge_pairs(x, threshold)
+    alive = {v for v in x.quiver.vertices if x.dims[v] == 1}
+    out, ties = [], 0
+    while alive:
+        keys = {combo: (_slope(alpha, combo), r)
+                for r in range(1, len(alive) + 1)
+                for combo in combinations(sorted(alive), r)
+                if _closed(frozenset(combo), pairs, frozenset(alive))}
+        combo = max(keys, key=keys.get)
+        slope = keys[combo][0]
+        ties += sum(s == slope for s, _ in keys.values()) > 1
+        out.append(({v: int(v in combo) for v in x.quiver.vertices}, slope))
+        alive -= set(combo)
+    return out, ties
+
+
+def random_thin(seed):
+    """A thin representation on 1 + seed % 10 vertices.  Edge ends are drawn
+    at random, so loops, multi-edges and cycles occur; about one vertex in
+    seven has dimension 0; an edge entry is 0, 1e-14 (below the acting
+    threshold next to a generic entry) or generic; and the weights are
+    integers in [-3, 3], so closed sets of equal slope are common."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 10
+    vs = tuple(str(i) for i in range(n))
+    ends = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
+    q = Quiver(vs, tuple((vs[t], vs[h]) for t, h in ends))
+    dims = {v: int(rng.random() < 0.85) for v in vs}
+    scales = rng.choice([0.0, 1e-14, 1.0], size=len(ends), p=[0.15, 0.15, 0.7])
+    mats = [c * complex(*rng.uniform(0.5, 2.0, 2)) * np.ones((dims[h], dims[t]))
+            for c, (t, h) in zip(scales, q.edges)]
+    alpha = {v: int(rng.integers(-3, 4)) for v in vs}
+    return Representation(q, dims, mats), alpha
+
+
+def test_thin_hn_matches_enumeration():
+    seen = dict.fromkeys(["loop", "multi-edge", "2-cycle", "dimension 0",
+                          "below threshold", "tie", "several stages"], 0)
+    for seed in range(400):
+        x, alpha = random_thin(seed)
+        expect, ties = enumerated_hn_type(x, alpha)
+        assert thin_hn_type(x, alpha) == expect, seed
+        edges = x.quiver.edges
+        entries = [abs(m[0, 0]) for m in x.mats if m.size]
+        seen["loop"] += any(t == h for t, h in edges)
+        seen["multi-edge"] += len(set(edges)) < len(edges)
+        seen["2-cycle"] += any(t != h and (h, t) in edges for t, h in edges)
+        seen["dimension 0"] += 0 in x.dims.values()
+        seen["below threshold"] += any(0 < a <= 1e-12 * max(entries) for a in entries)
+        seen["tie"] += ties > 0
+        seen["several stages"] += len(expect) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def thin_quiver(kind, n, rng):
+    vs = tuple(str(i) for i in range(n))
+    if kind == "chain":
+        edges = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+    elif kind == "dag":  # each pair joined with probability 2/n, along a random order
+        order = [vs[i] for i in rng.permutation(n)]
+        edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 2.0 / n]
+    else:  # a directed cycle through half the vertices, plus random chords
+        m = n // 2
+        edges = [(vs[i], vs[(i + 1) % m]) for i in range(m)]
+        edges += [(vs[t], vs[h]) for t, h in rng.integers(0, n, (m, 2))]
+    return Quiver(vs, tuple(edges))
+
+
+def test_flow_limits_match_thin_filtration_at_scale():
+    """Flows on 12-30 vertices end at the block type of the cut oracle.
+    Generic weights keep every filtration piece stable, so the flow
+    decays exponentially onto its limit."""
+    for seed in range(9):
+        rng = np.random.default_rng(seed)
+        kind, n = ("chain", "dag", "cycle")[seed % 3], (12, 21, 30)[seed // 3]
+        q = thin_quiver(kind, n, rng)
+        alpha = {v: float(rng.uniform(-9.0, 9.0)) for v in q.vertices}
+        x = random_rep(q, {v: 1 for v in q.vertices}, rng)
+        r = flow(x, alpha, FlowOptions(dt_init=0.5))
+        assert r.status == "converged", (seed, kind, n)
+        prof = classify_critical(r.limit, alpha, ClassifyTols(block_tol=1e-6))
+        expect = [d for d, _ in thin_hn_type(x, alpha)]
+        assert len(expect) > 1, (seed, kind, n)
+        assert partition(prof.critical_type) == partition(expect), (seed, kind, n)
