@@ -36,11 +36,6 @@ from . import serde
 
 OK, BAD_INPUT, NO_CONVERGE = 0, 2, 3
 
-# option fields a command line may set, each as the flag --name-with-dashes
-_FLOW_FIELDS = ("dt_init", "dt_min", "grad_tol", "drift_tol", "step_tol", "max_time",
-               "max_steps", "constraint")
-_TOLS_FIELDS = ("cluster_tol", "block_tol", "rank_tol", "grad_tol")
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = BAD_INPUT):
@@ -89,14 +84,10 @@ def _seed(args) -> int:
     return int(os.environ.get("QUIVERFLOW_SEED", "0"))
 
 
-def _given(args, base, names):
-    """``base`` with the fields in ``names`` that were given as flags."""
-    return dataclasses.replace(base, **{n: getattr(args, n) for n in names
-                                        if getattr(args, n) is not None})
-
-
-def _fields(obj, names) -> dict:
-    return {n: getattr(obj, n) for n in names}
+def _given(args, base):
+    """The options dataclass ``base`` with the fields that were given as flags."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(base)}
+    return dataclasses.replace(base, **{n: v for n, v in given.items() if v is not None})
 
 
 def _flow_summary(res, limit) -> dict:
@@ -136,46 +127,44 @@ def _cmd_validate(args):
 def _cmd_flow(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    opts = _given(args, FlowOptions(), _FLOW_FIELDS)
+    opts = _given(args, FlowOptions())
     res = flow(x, alpha, opts)
     if args.csv:
         serde.write_text_atomic(args.csv, trajectory_csv(res))
-    return _fields(opts, _FLOW_FIELDS), _flow_summary(res, res.limit), _converged(res)
+    return dataclasses.asdict(opts), _flow_summary(res, res.limit), _converged(res)
 
 
 def _cmd_classify(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    tols = _given(args, ClassifyTols(), _TOLS_FIELDS)
+    tols = _given(args, ClassifyTols())
     profile = classify_critical(x, alpha, tols)
-    return _fields(tols, _TOLS_FIELDS), serde.profile_to_json(profile), OK
+    return dataclasses.asdict(tols), serde.profile_to_json(profile), OK
 
 
 def _cmd_negslice(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    tols = _given(args, ClassifyTols(), _TOLS_FIELDS)
+    tols = _given(args, ClassifyTols())
     basis, profile = negative_slice_basis(x, alpha, tols)
     result = {
         "dim": len(basis),
         "basis": [serde.mats_to_json(b) for b in basis],
         "profile": serde.profile_to_json(profile),
     }
-    return _fields(tols, _TOLS_FIELDS), result, OK
+    return dataclasses.asdict(tols), result, OK
 
 
 def _cmd_hn(args):
     x = _load_rep(args.rep)
     alpha = _resolve_alpha(args.alpha, x)
-    if args.oracle != "thin":
-        raise CliError(f"unknown filtration oracle {args.oracle!r}")
     try:
         hn = thin_hn_type(x, alpha, threshold=args.threshold)
     except RuntimeError as exc:
         raise CliError(str(exc)) from exc
     result = {"filtration": [{"dims": dims, "slope": f"{s.numerator}/{s.denominator}"}
                              for dims, s in hn]}
-    return {"oracle": "thin", "threshold": args.threshold}, result, OK
+    return {"threshold": args.threshold}, result, OK
 
 
 def _cmd_hecke(args):
@@ -206,10 +195,11 @@ def _cmd_hecke_construct(args):
 
 def _cmd_project(args):
     x = _load_rep(args.rep)
-    opts = _given(args, AFFINE_FLOW_DEFAULTS, _FLOW_FIELDS)
+    opts = _given(args, AFFINE_FLOW_DEFAULTS)
     snap = args.snap if args.snap in (None, "auto") else float(args.snap)
     limit, res = affine_project(x, opts, snap_tol=snap)
-    return {"snap": args.snap}, _flow_summary(res, limit), _converged(res)
+    config = dict(dataclasses.asdict(opts), snap=args.snap)
+    return config, _flow_summary(res, limit), _converged(res)
 
 
 def _cmd_lagrangian(args):
@@ -257,14 +247,15 @@ def _cmd_selfcheck(args):
 # parser
 
 
-def _flags(names, **special) -> dict:
-    """One flag per field, a float unless ``special`` gives its settings."""
-    return {"--" + n.replace("_", "-"): special.get(n, {"type": float}) for n in names}
+def _flags(options, **special) -> dict:
+    """One flag --name-with-dashes per field of the options dataclass, typed
+    as its default unless ``special`` gives its settings."""
+    return {"--" + f.name.replace("_", "-"): special.get(f.name, {"type": type(f.default)})
+            for f in dataclasses.fields(options)}
 
 
-_FLOW_FLAGS = _flags(_FLOW_FIELDS, max_steps={"type": int},
-                     constraint={"choices": ["auto", "doubled", "handsaw", "none"]})
-_TOLS_FLAGS = _flags(_TOLS_FIELDS)
+_FLOW_FLAGS = _flags(FlowOptions, constraint={"choices": ["auto", "doubled", "handsaw", "none"]})
+_TOLS_FLAGS = _flags(ClassifyTols)
 _TOL_FLAG = {"--tol": {"type": float, "default": 1e-9}}
 _REP_ALPHA = {"rep": {}, "alpha": {}}
 _PAIR_VERTEX = {"rep1": {}, "rep2": {}, "vertex": {}}
@@ -282,8 +273,7 @@ _COMMANDS = [
     ("negslice", "negative slice basis at a split critical point", _cmd_negslice,
      _REP_ALPHA, _TOLS_FLAGS, False),
     ("hn", "filtration type via the exact thin oracle", _cmd_hn, _REP_ALPHA,
-     {"--oracle": {"default": "thin"}, "--threshold": {"type": float, "default": 1e-12}},
-     False),
+     {"--threshold": {"type": float, "default": 1e-12}}, False),
     ("hecke", "pinned-intertwiner membership test", _cmd_hecke,
      _PAIR_VERTEX, _TOL_FLAG, True),
     ("hecke-construct", "build slice data from a membership witness", _cmd_hecke_construct,

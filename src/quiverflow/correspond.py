@@ -44,12 +44,12 @@ _TRIALS = 8  # seeded draws of the generic-element search after its start point
 
 @dataclass
 class Intertwiner:
-    """Per-vertex blocks of a module homomorphism x1 -> x2."""
+    """Per-vertex blocks of a module homomorphism x1 -> x2, with the block at
+    the distinguished vertex equal to 1."""
 
     blocks: dict[str, np.ndarray]
     residual: float
     space_dim: int
-    normalized: bool = False
     injective: bool | None = None
     surjective: bool | None = None
 
@@ -198,8 +198,7 @@ def _pinned_membership(x1: Representation, x2: Representation, k: str,
     found = _generic_element(part, null, blocks, seed, _injective)
     chosen = blocks(part) if found is None else found
     return Intertwiner(blocks=chosen, residual=_intertwine_residual(x1, x2, chosen),
-                       space_dim=int(null.shape[1]), normalized=True,
-                       injective=found is not None)
+                       space_dim=int(null.shape[1]), injective=found is not None)
 
 
 def flowline_to_hecke(pair: FlowLinePair, k: str) -> Intertwiner:
@@ -221,7 +220,7 @@ def flowline_to_hecke(pair: FlowLinePair, k: str) -> Intertwiner:
     if residual > 1e-8 * (x1.norm() + x2.norm()):
         raise ValueError(f"restricted element fails to intertwine ({residual:.3e})")
     return Intertwiner(blocks=blocks, residual=residual, space_dim=0,
-                       normalized=True, injective=_injective(blocks))
+                       injective=_injective(blocks))
 
 
 def hecke_to_flowline(x1: Representation, x2: Representation, xi: Intertwiner,
@@ -458,4 +457,4 @@ def handsaw_hecke_check(x1: Representation, x2: Representation, k: str,
     blocks = {v: b.conj().T for v, b in std.blocks.items()}
     # a block is surjective iff its adjoint, the block found above, is injective
     return Intertwiner(blocks=blocks, residual=_intertwine_residual(x2, x1, blocks),
-                       space_dim=std.space_dim, normalized=True, surjective=std.injective)
+                       space_dim=std.space_dim, surjective=std.injective)

@@ -18,10 +18,13 @@ Under (x, alpha) -> (c x, c^2 alpha) a tolerance must scale with the degree of
 what it compares: x has degree 1; mu, alpha and the eigenvalues of H and of
 the Hessian have degree 2; the gradient has degree 3.  So every eigenvalue
 decision (clustering, slope match, sign, leak mask) uses the gap
-cluster_tol * max(|x|^2, max |alpha|), the block residuals of x are gated at
-block_tol |x|, and the gradient gate is 10 grad_tol max(1, |x|)^3.  A
-negative Hessian eigenvector X may have |rho*_x X| up to 1e-8 |X| |x| and
-leak up to 1e-8 |X| out of its blocks.
+_CLUSTER_TOL * max(|x|^2, max |alpha|).  The off-block residual of x is gated
+at block_tol max(|x|, sqrt(max |alpha|)): on a limit that decays to 0 the
+slowest edge sets both |x| and the residual, so |x| alone cannot gate it.
+The complement of a negative slice's base point is gated at block_tol |x|,
+its null space is cut at _RANK_TOL, and the gradient gate is
+_GRAD_GATE max(1, |x|)^3.  A negative Hessian eigenvector X may have
+|rho*_x X| up to 1e-8 |X| |x| and leak up to 1e-8 |X| out of its blocks.
 ``_outside`` and the negative-vector checks take tangents with a leading batch
 axis, one batch per eigenvalue cluster of the Hessian.
 """
@@ -52,23 +55,19 @@ from .rep import (
 )
 
 
-_GRAD_FACTOR = 10.0  # the gradient gate is 10 grad_tol (module docstring)
+# the fixed gates of the module docstring
+_CLUSTER_TOL = 1e-6
+_RANK_TOL = 1e-9
+_GRAD_GATE = 1e-7
 
 
 @dataclass(frozen=True)
 class ClassifyTols:
-    cluster_tol: float = 1e-6
     block_tol: float = 1e-8
-    rank_tol: float = 1e-9
-    grad_tol: float = 1e-8
 
     def __post_init__(self):
-        # a NaN cluster gap splits every block and a nonpositive rank_tol falls
-        # back to a fixed floor, so both would be misreported further on
-        for name in ("cluster_tol", "block_tol", "rank_tol", "grad_tol"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if not (np.isfinite(self.block_tol) and self.block_tol > 0):
+            raise ValueError(f"block_tol must be finite and positive, got {self.block_tol!r}")
 
 
 @dataclass
@@ -99,12 +98,12 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return np.split(order, cuts) if len(order) else []
 
 
-def _eigen_gap(x: Representation, alpha, tols: ClassifyTols) -> float:
+def _eigen_gap(x: Representation, alpha) -> float:
     """The degree-2 gap of the module docstring."""
     with np.errstate(over="ignore"):
         n = x.norm()
     # a float product overflows to inf where a power would raise
-    return tols.cluster_tol * max([n * n] + [abs(float(a)) for a in alpha.values()])
+    return _CLUSTER_TOL * max([n * n] + [abs(float(a)) for a in alpha.values()])
 
 
 def _outside(q, bases, labels, mats, inside):
@@ -125,16 +124,15 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
     with np.errstate(over="ignore", invalid="ignore"):
         g = mats_norm(grad_energy(x, alpha))
         scale = max(1.0, x.norm())
-    bound = _GRAD_FACTOR * tols.grad_tol
     # the floor max(1, |x|) stays because ``flow`` stops at an absolute grad_tol
     # (x, alpha) -> (c x, c^2 alpha) scales the gradient by c^3; dividing by
     # the scale one factor at a time cannot overflow, and a NaN fails the test
-    if not g / scale / scale / scale < bound:
-        raise ValueError(f"not critical: gradient norm {g:.3e} exceeds {bound:.3e} * max(1, |x|)^3")
+    if not g / scale / scale / scale < _GRAD_GATE:
+        raise ValueError(f"not critical: gradient norm {g:.3e} exceeds {_GRAD_GATE:.3e} * max(1, |x|)^3")
     q = x.quiver
     vals, bases = zip(*(np.linalg.eigh(h) for h in _hermitian_moment(x, alpha)))
     flat = np.concatenate(vals)
-    gap = _eigen_gap(x, alpha, tols)
+    gap = _eigen_gap(x, alpha)
     groups = _cluster(flat, gap)
     label = np.empty(len(flat), dtype=int)
     for j, grp in enumerate(groups):
@@ -145,7 +143,9 @@ def classify_critical(x: Representation, alpha, tols: ClassifyTols | None = None
               for j in range(len(groups))]
 
     offdiag = _outside(q, bases, labels, x.mats, np.equal)
-    if offdiag > tols.block_tol * x.norm():
+    # gap / _CLUSTER_TOL is max(|x|^2, max |alpha|), so this is the degree-1
+    # scale max(|x|, sqrt(max |alpha|)) of the module docstring
+    if offdiag > tols.block_tol * np.sqrt(gap / _CLUSTER_TOL):
         raise ValueError(f"block structure violated: off-diagonal residual {offdiag:.3e}")
 
     for lam, blk in zip(eigenvalues, blocks):
@@ -181,13 +181,12 @@ def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None)
     conditions (both compact adjoints vanish) and to live in the Hom^1 blocks
     predicted by the profile.
     """
-    tols = tols or ClassifyTols()
     profile = classify_critical(x, alpha, tols)
     H = hessian_matrix(x, alpha)
     sym_defect = float(np.max(np.abs(H - H.T))) if H.size else 0.0
     w, V = np.linalg.eigh((H + H.T) / 2.0)
     shapes = edge_shapes(x.quiver, x.dims)
-    gap = _eigen_gap(x, alpha, tols)
+    gap = _eigen_gap(x, alpha)
     spectrum = []
     for grp in _cluster(w, gap):
         lam = float(np.mean(w[grp]))
@@ -269,7 +268,7 @@ def negative_slice_basis(x: Representation, alpha, tols: ClassifyTols | None = N
         return [P1[h] @ c @ P2[t].conj().T for (t, h), c in zip(q.ends, C)]
 
     A = matrix_of(lambda C: slice_conditions(x, to_tangent(C)), coeff_shapes)
-    null = null_space(A, tols.rank_tol)
+    null = null_space(A, _RANK_TOL)
     deltas = to_tangent(unravel_real(null.T, coeff_shapes))
     if q.pairing is not None:
         # kept with its floor: each delta is a unit vector (orthonormal

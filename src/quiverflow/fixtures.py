@@ -101,29 +101,23 @@ def hs3(dims_v=(1, 1), dims_w=(1, 1, 1)):
     return handsaw_to_quiver(3, dims_v, dims_w)
 
 
-def random_doubled(seed: int = 0, dmax: int = 3):
-    """Doubled three-vertex quiver with random dims and an exactly admissible
-    rational weight; returns (rep, weights)."""
+def _random_triangle(doubled: bool, seed: int, dmax: int):
+    q = Quiver(vertices=("1", "2", "3"), edges=(("1", "2"), ("2", "3"), ("1", "3")))
+    q = double_quiver(q) if doubled else q
     rng = np.random.default_rng(seed)
-    base = Quiver(vertices=("1", "2", "3"),
-                  edges=(("1", "2"), ("2", "3"), ("1", "3")))
-    q = double_quiver(base)
     dims = {v: int(rng.integers(1, dmax + 1)) for v in q.vertices}
     a1 = int(rng.integers(-3, 4))
     a2 = int(rng.integers(-3, 4))
     a3 = Fraction(-(a1 * dims["1"] + a2 * dims["2"]), dims["3"])
-    alpha = {"1": a1, "2": a2, "3": a3}
-    return random_rep(q, dims, rng), alpha
+    return random_rep(q, dims, rng), {"1": a1, "2": a2, "3": a3}
+
+
+def random_doubled(seed: int = 0, dmax: int = 3):
+    """Doubled three-vertex quiver with random dims and an exactly admissible
+    rational weight; returns (rep, weights)."""
+    return _random_triangle(True, seed, dmax)
 
 
 def random_plain(seed: int = 0, dmax: int = 3):
     """Undoubled three-vertex quiver variant of random_doubled."""
-    rng = np.random.default_rng(seed)
-    q = Quiver(vertices=("1", "2", "3"),
-               edges=(("1", "2"), ("2", "3"), ("1", "3")))
-    dims = {v: int(rng.integers(1, dmax + 1)) for v in q.vertices}
-    a1 = int(rng.integers(-3, 4))
-    a2 = int(rng.integers(-3, 4))
-    a3 = Fraction(-(a1 * dims["1"] + a2 * dims["2"]), dims["3"])
-    alpha = {"1": a1, "2": a2, "3": a3}
-    return random_rep(q, dims, rng), alpha
+    return _random_triangle(False, seed, dmax)

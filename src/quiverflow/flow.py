@@ -2,13 +2,13 @@
 
 Classical 4th-order explicit steps with step-doubling acceptance: a trial
 step is kept iff the energy does not increase (within 1e-12 relative slack),
-the constraint increment stays below drift_tol * dt, and the full-step vs
-two-half-steps discrepancy stays below step_tol.  The half-step composition
-is what gets propagated.  Rejection halves dt; five consecutive accepts grow
-it by 1.5x.  dt_init is only the first step: the three acceptance tests bound
-every later one.  A step that would pass max_time is cut to end there.  No
-projection back onto the constraint set is performed: drift is monitored and
-reported.
+the constraint increment stays below _DRIFT_TOL * dt, and the full-step vs
+two-half-steps discrepancy stays below _STEP_TOL.  The half-step composition
+is what gets propagated.  Rejection halves dt, and a dt below _DT_MIN ends the
+flow with step_underflow; five consecutive accepts grow it by 1.5x.  dt_init
+is only the first step: the three acceptance tests bound every later one.  A
+step that would pass max_time is cut to end there.  No projection back onto
+the constraint set is performed: drift is monitored and reported.
 
 The state is one packed (E, d, d) array of zero-padded edge matrices (``rep``
 module docstring, "Packed layout"): the validated input copy is packed once,
@@ -42,10 +42,12 @@ from .rep import (
     _sqnorm,
     _view,
     mats_norm,
-    moment_complex,
 )
 
 _ENERGY_SLACK = 1e-12
+_DT_MIN = 1e-9
+_DRIFT_TOL = 1e-8
+_STEP_TOL = 1e-9
 # every tenth accepted step goes into the trajectory, plus the first and last
 _SAMPLE_STRIDE = 10
 
@@ -53,22 +55,17 @@ _SAMPLE_STRIDE = 10
 @dataclass(frozen=True)
 class FlowOptions:
     dt_init: float = 1e-2
-    dt_min: float = 1e-9
     grad_tol: float = 1e-8
-    drift_tol: float = 1e-8
-    step_tol: float = 1e-9
     max_time: float = 1e4
     max_steps: int = 1_000_000
     constraint: str = "auto"  # auto | none | doubled | handsaw
 
     def __post_init__(self):
-        # a zero dt_init accepts empty steps until the step budget runs out, and
-        # an infinite one is halved forever
-        if not (np.isfinite(self.dt_init) and self.dt_init > 0):
-            raise ValueError(f"dt_init must be finite and positive, got {self.dt_init!r}")
-        if not 0 < self.dt_min <= self.dt_init:
-            raise ValueError(f"dt_min must lie in (0, dt_init], got {self.dt_min!r}")
-        for name in ("grad_tol", "drift_tol", "step_tol", "max_time"):
+        # a dt_init below _DT_MIN underflows at its first rejection, and an
+        # infinite one is halved forever
+        if not (np.isfinite(self.dt_init) and self.dt_init >= _DT_MIN):
+            raise ValueError(f"dt_init must be finite and at least {_DT_MIN}, got {self.dt_init!r}")
+        for name in ("grad_tol", "max_time"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
@@ -102,18 +99,6 @@ def resolve_constraint(quiver: Quiver, kind: str) -> str:
     return kind
 
 
-def constraint_norm(x: Representation, kind: str) -> float:
-    if kind == "none":
-        return 0.0
-    if kind == "doubled":
-        return mats_norm(moment_complex(x))
-    if kind == "handsaw":
-        from .correspond import handsaw_constraint
-
-        return mats_norm(handsaw_constraint(x))
-    raise ValueError(f"unknown constraint kind {kind!r}")
-
-
 def _rk4(grad, A: np.ndarray, k1: np.ndarray, dt) -> np.ndarray:
     """One classical 4th-order step down the gradient from the packed edge
     matrices A, where k1 is the gradient at A.  dt may be an array of shape
@@ -144,7 +129,9 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         if kind == "doubled":
             return _norm(_complex_moment(lay, A))
         if kind == "handsaw":
-            return constraint_norm(_view(start, lay.edges(A)), kind)
+            from .correspond import handsaw_constraint
+
+            return mats_norm(handsaw_constraint(_view(start, lay.edges(A))))
         return 0.0
 
     x = lay.pack(start.mats)
@@ -182,14 +169,14 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             est = _norm(full - trial)
             # the acceptance tests keep their 1 + |x| floors: other gates
             # would change every trajectory
-            ok = est <= opts.step_tol * (1.0 + scale)
+            ok = est <= _STEP_TOL * (1.0 + scale)
             if ok:
                 E_t, k1_t = _energy_and_grad(lay, trial, shift)
                 c_t = constraint(trial)
                 # the constraint increment gets a roundoff floor so shrinking dt
                 # cannot make the bound unsatisfiable; the floor keeps cumulative
                 # drift below 1e-8 * scale across the step budget
-                drift_cap = opts.drift_tol * h + 1e-14 * (1.0 + scale ** 2)
+                drift_cap = _DRIFT_TOL * h + 1e-14 * (1.0 + scale ** 2)
                 ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and (c_t - c <= drift_cap)
         if ok:
             x, E, c, k1 = trial, E_t, c_t, k1_t
@@ -206,7 +193,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         else:
             run = 0
             dt = 0.5 * h
-            if dt < opts.dt_min:
+            if dt < _DT_MIN:
                 status = "step_underflow"
                 break
 

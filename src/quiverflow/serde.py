@@ -166,7 +166,6 @@ def intertwiner_to_json(xi) -> dict:
         "blocks": {v: _matrix_to_json(m) for v, m in xi.blocks.items()},
         "residual": float(xi.residual),
         "space_dim": int(xi.space_dim),
-        "normalized": bool(xi.normalized),
         "injective": xi.injective,
         "surjective": xi.surjective,
     }

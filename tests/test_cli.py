@@ -240,16 +240,39 @@ def test_project_flow_flags_apply_on_affine_defaults(tmp_path):
     base = steps()
     # restating a default leaves the zero-weight defaults in force
     assert steps("--max-steps", "1000000") == base
-    # and a looser step tolerance reaches the flow
-    assert steps("--step-tol", "1e-6") < base
+    # and a looser gradient tolerance reaches the flow
+    assert steps("--grad-tol", "1e-6") < base
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["flow", "{rep}", "canonical"], ["--dt-init", "0.5", "--max-steps", "40"]),
+    (["classify", "{crit}", "canonical"], ["--block-tol", "1e-6"]),
+    (["project", "{jordan}"], ["--snap", "auto", "--grad-tol", "1e-6"]),
+])
+def test_config_replays_the_run(f1_files, tmp_path, command, flags):
+    # every config key is a flag of its command, so a payload's config alone
+    # reproduces its result
+    files = dict(f1_files, jordan=write_rep(tmp_path / "j.json",
+                                            jordan_rep([[1.0, 1.0], [0.0, 2.0]])))
+    command = [a.format(**files) for a in command]
+    code, out, err = run_cli(*command, *flags)
+    assert code in (0, 3), err
+    doc = json.loads(out)
+    replay = [a for k, v in doc["config"].items() for a in ("--" + k.replace("_", "-"), str(v))]
+    code_again, out_again, err = run_cli(*command, *replay)
+    assert code_again == code, err
+    assert json.loads(out_again)["result"] == doc["result"]
 
 
 @pytest.mark.parametrize("args, expected", [
     (["project", "{jordan}", "--constraint", "handsaw"], "handsaw"),
     (["project", "{jordan}", "--snap", "abc"], "abc"),
-    (["classify", "{crit}", "canonical", "--cluster-tol", "nan"], "cluster_tol"),
-    (["classify", "{crit}", "canonical", "--grad-tol", "inf"], "grad_tol"),
-    (["negslice", "{crit}", "canonical", "--rank-tol", "-1"], "rank_tol"),
+    # the cluster and rank gates are fixed, not flags
+    (["classify", "{crit}", "canonical", "--cluster-tol", "1e-6"],
+     "unrecognized arguments: --cluster-tol"),
+    (["flow", "{rep}", "canonical", "--grad-tol", "inf"], "grad_tol"),
+    (["negslice", "{crit}", "canonical", "--rank-tol", "1e-9"],
+     "unrecognized arguments: --rank-tol"),
     (["flow", "{huge}", "canonical"], "non-finite"),
     (["classify", "{huge}", "canonical"], "not critical"),
     (["hn", "{rep}", "{partial}"], "weight keys"),

@@ -31,6 +31,7 @@ from quiverflow.rep import (
     mats_scale,
     mats_sub,
     null_space,
+    random_rep,
 )
 
 
@@ -204,6 +205,22 @@ def test_flow_limits_classify_to_block_slopes():
             assert lam == pytest.approx(deg / rank, abs=1e-6)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-3])
+def test_limit_decaying_to_zero_classifies(c):
+    # every vertex of the chain is its own filtration piece, so the flow decays
+    # to the zero representation and stops on its absolute grad_tol with |x|
+    # about 4e-9; the off-block residual is then about |x| too
+    q = Quiver(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4")))
+    alpha = {"1": -3, "2": -1, "3": 1, "4": 3}
+    r = flow(random_rep(q, {v: 2 for v in q.vertices}, np.random.default_rng(0)), alpha,
+             FlowOptions(dt_init=0.5))
+    assert r.status == "converged" and r.limit.norm() < 1e-8
+    y = Representation(q, r.limit.dims, mats_scale(c, r.limit.mats))
+    prof = classify_critical(y, {v: c * c * a for v, a in alpha.items()},
+                             ClassifyTols(block_tol=1e-6))
+    assert prof.critical_type == [{u: 2 * (u == v) for u in q.vertices} for v in "4321"]
+
+
 def test_stratum_codim_values():
     x = framed_a1_rep(0.0, np.sqrt(2))
     assert stratum_codim(x, "1") == 1
@@ -219,8 +236,8 @@ def test_stratum_codim_values():
 
 
 @pytest.mark.parametrize("bad", [
-    {"cluster_tol": float("nan")}, {"cluster_tol": -1.0}, {"block_tol": 0.0},
-    {"rank_tol": -1.0}, {"grad_tol": float("inf")},
+    {"block_tol": float("nan")}, {"block_tol": -1.0}, {"block_tol": 0.0},
+    {"block_tol": float("inf")}, {"block_tol": -float("inf")},
 ])
 def test_classify_tols_reject_bad_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):

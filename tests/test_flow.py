@@ -17,7 +17,6 @@ from quiverflow.correspond import handsaw_constraint
 from quiverflow.flow import (
     FlowOptions,
     _rk4,
-    constraint_norm,
     flow,
     resolve_constraint,
     trajectory_csv,
@@ -97,8 +96,8 @@ def test_flow_ends_exactly_at_max_time():
 
 @pytest.mark.parametrize("bad", [
     {"dt_init": 0.0}, {"dt_init": -1.0}, {"dt_init": float("inf")},
-    {"dt_min": 0.0}, {"dt_min": 1.0}, {"max_steps": -5},
-    {"grad_tol": 0.0}, {"drift_tol": -1e-8}, {"step_tol": float("nan")},
+    {"dt_init": 1e-10}, {"dt_init": float("nan")}, {"max_steps": -5},
+    {"grad_tol": 0.0}, {"grad_tol": float("nan")}, {"max_time": 0.0},
     {"max_time": float("inf")},
 ])
 def test_flow_options_reject_bad_values(bad):
@@ -163,8 +162,12 @@ def test_trajectory_csv_format():
 
 def test_constraint_norm_kinds():
     x = framed_a1_rep(2.0, 3.0)
-    assert constraint_norm(x, "none") == 0.0
-    assert constraint_norm(x, "doubled") == pytest.approx(np.sqrt(72.0))
+
+    def start_constraint(kind):
+        return flow(x, framed_a1_weights(), FlowOptions(max_steps=0, constraint=kind)).final_constraint
+
+    assert start_constraint("none") == 0.0
+    assert start_constraint("doubled") == pytest.approx(np.sqrt(72.0))
     with pytest.raises(ValueError):
         flow(x, framed_a1_weights(), FlowOptions(constraint="bogus"))
 
