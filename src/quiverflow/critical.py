@@ -27,6 +27,30 @@ _GRAD_GATE max(1, |x|)^3.  A negative Hessian eigenvector X may have
 |rho*_x X| up to 1e-8 |X| |x| and leak up to 1e-8 |X| out of its blocks.
 ``_outside`` and the negative-vector checks take tangents with a leading batch
 axis, one batch per eigenvalue cluster of the Hessian.
+
+Hessian blocks
+--------------
+The stabilizer of a critical point contains a torus, one U(1) per block of
+H, and the energy is invariant under it, so the Hessian commutes with it
+(Kirwan, Cohomology of Quotients in Symplectic and Algebraic Geometry, 1984).
+In the eigenbasis coordinates x' = B_h^* A B_t the entry (i, j) of an edge
+has torus weight e_s - e_t, where s and t label row i at the head and column
+j at the tail.  The Hessian is only real-linear and may send a weight to its
+negative, so it is block-diagonal over unordered label pairs {s, t}; the
+pairs with s = t are blocks of their own.  In these coordinates the Hessian
+is D + G^T G: [H, X'] is diagonal with entries D = lambda_h,i - lambda_t,j
+from diag(B^* H B), and rho_x(S) has the quadratic form |S|^2 with S the
+Hermitian part of rho*_x'(X'), so G is the matrix of X' -> S.
+``hessian_spectrum`` runs one ``eigh`` on D + G^T G per pair and maps the
+eigenvectors back by B_h X' B_t^*.  The split is exact when x' has no entry
+between different labels, and classify's off-block residual r is what breaks
+it: a unit coordinate has |S| <= 2|x|, of which at most 2r comes from the
+off-block part of x', so each cross-block entry of G^T G that the split drops
+is at most 8|x|r + 4r^2.  The second value of ``hessian_spectrum`` is that
+bound plus n eps max(|x|^2, max |alpha|), the roundoff of n coordinates at
+degree 2; the tests hold the dense Hessian, read in these coordinates, to it.
+G is assembled edge by edge, since an edge's coordinates reach only its two
+ends.  The doubled triangle at n = 432 splits into three blocks of 144.
 """
 from __future__ import annotations
 
@@ -41,10 +65,10 @@ from .rep import (
     _assemble,
     _hermitian_moment,
     _paired_edges,
+    _view,
     d_moment_complex,
     edge_shapes,
     grad_energy,
-    hessian_matrix,
     inf_action_adjoint,
     mats_norm,
     matrix_of,
@@ -59,6 +83,7 @@ from .rep import (
 _CLUSTER_TOL = 1e-6
 _RANK_TOL = 1e-9
 _GRAD_GATE = 1e-7
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -176,26 +201,57 @@ def hessian_spectrum(x: Representation, alpha, tols: ClassifyTols | None = None)
     """Eigenvalues of the energy Hessian with multiplicities and eigenvectors.
 
     Each eigenvalue cluster comes as (lambda, mult, tangents); a tangent is a
-    per-edge list of views into the cluster's batch of unravelled vectors.
-    Negative eigenvectors are verified to satisfy the critical-point kernel
-    conditions (both compact adjoints vanish) and to live in the Hom^1 blocks
-    predicted by the profile.
+    per-edge list of views into the cluster's batch of back-transformed
+    vectors.  The Hessian is diagonalised block by block in eigenbasis
+    coordinates (module docstring, "Hessian blocks"); the second value bounds
+    the cross-block entries that this drops.  Negative eigenvectors are
+    verified to satisfy the critical-point kernel conditions (both compact
+    adjoints vanish) and to live in the Hom^1 blocks predicted by the profile.
     """
     profile = classify_critical(x, alpha, tols)
-    H = hessian_matrix(x, alpha)
-    sym_defect = float(np.max(np.abs(H - H.T))) if H.size else 0.0
-    w, V = np.linalg.eigh((H + H.T) / 2.0)
-    shapes = edge_shapes(x.quiver, x.dims)
+    q, bases, labels = x.quiver, profile.bases, profile.labels
+    xb = _view(x, [bases[h].conj().T @ m @ bases[t] for (t, h), m in zip(q.ends, x.mats)])
+    lams = [np.sum(b.conj() * (h @ b), axis=0).real
+            for b, h in zip(bases, _hermitian_moment(x, alpha))]
+    shapes = edge_shapes(q, x.dims)
+    # G edge by edge: one identity batch over all coordinates would multiply
+    # every edge's matrices by all of them
+    def herm_rho(e):
+        return lambda X: [(r + _adj(r)) / 2.0
+                          for r in _assemble(xb, [q.ends[e]], X, [_adj(xb.mats[e])])]
+    G = np.hstack([matrix_of(herm_rho(e), [s]) for e, s in enumerate(shapes)] or [np.zeros((0, 0))])
+    # each coordinate's [H, .] entry and unordered label pair, twice per edge: re and im
+    nb = len(profile.blocks)
+    keys = [np.minimum.outer(labels[h], labels[t]) * nb + np.maximum.outer(labels[h], labels[t])
+            for t, h in q.ends]
+    D = np.concatenate([np.tile((lams[h][:, None] - lams[t]).ravel(), 2) for t, h in q.ends] or [[]])
+    pair = np.concatenate([np.tile(k.ravel(), 2) for k in keys] or [[]])
+    # a block's eigenvectors take the columns of its coordinates
+    w, V = np.empty(len(pair)), np.zeros((len(pair), len(pair)))
+    for p in np.unique(pair):
+        idx = np.flatnonzero(pair == p)
+        Gb = G[:, idx]
+        w[idx], V[np.ix_(idx, idx)] = np.linalg.eigh(Gb.T @ Gb + np.diag(D[idx]))
+    batch = []
+    for (t, h), X, k in zip(q.ends, unravel_real(V.T, shapes), keys):
+        # only the columns of this edge's own pairs are nonzero on it
+        mine = np.zeros(nb * nb, dtype=bool)
+        mine[k] = True
+        on = mine[pair]
+        X[on] = bases[h] @ X[on] @ bases[t].conj().T
+        batch.append(X)
     gap = _eigen_gap(x, alpha)
+    r = profile.offdiag_residual
+    cross_bound = float(8.0 * x.norm() * r + 4.0 * r * r + len(D) * _EPS * gap / _CLUSTER_TOL)
     spectrum = []
     for grp in _cluster(w, gap):
         lam = float(np.mean(w[grp]))
-        batch = unravel_real(V[:, grp].T, shapes)
+        vecs = [X[grp] for X in batch]
         if lam < -gap:
-            _check_negative_vectors(x, profile, lam, batch, gap)
-        spectrum.append((lam, len(grp), [list(X) for X in zip(*batch)]))
+            _check_negative_vectors(x, profile, lam, vecs, gap)
+        spectrum.append((lam, len(grp), [list(X) for X in zip(*vecs)]))
     profile.neg_spectrum = [(lam, mult) for lam, mult, _ in spectrum if lam < -gap]
-    return spectrum, sym_defect, profile
+    return spectrum, cross_bound, profile
 
 
 def _batch_norm(mats):

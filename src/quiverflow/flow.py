@@ -5,7 +5,11 @@ step is kept iff the energy does not increase (within 1e-12 relative slack),
 the constraint increment stays below _DRIFT_TOL * dt, and the full-step vs
 two-half-steps discrepancy stays below _STEP_TOL.  The half-step composition
 is what gets propagated.  Rejection halves dt, and a dt below _DT_MIN ends the
-flow with step_underflow; five consecutive accepts grow it by 1.5x.  dt_init
+flow with step_underflow; five consecutive accepts grow it by 1.5x.  A third
+drift rejection in a row ends it with step_underflow too: the rate
+(c_t - c) / dt stayed above _DRIFT_TOL over two halvings, the mark of a start
+off mu_C^{-1}(0), where mu_C keeps its conjugacy class but not its norm along
+the G_C-orbit and so drifts at first order in dt.  dt_init
 is only the first step: the three acceptance tests bound every later one.  A
 step that would pass max_time is cut to end there.  No projection back onto
 the constraint set is performed: drift is monitored and reported.
@@ -148,6 +152,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     scale = _norm(x)
     samples = [(t, E, g, c)]
     status = None
+    drifts = 0  # consecutive rejections for constraint drift
 
     while True:
         if g < opts.grad_tol:
@@ -170,6 +175,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             # the acceptance tests keep their 1 + |x| floors: other gates
             # would change every trajectory
             ok = est <= _STEP_TOL * (1.0 + scale)
+            drifted = False
             if ok:
                 E_t, k1_t = _energy_and_grad(lay, trial, shift)
                 c_t = constraint(trial)
@@ -177,9 +183,11 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
                 # cannot make the bound unsatisfiable; the floor keeps cumulative
                 # drift below 1e-8 * scale across the step budget
                 drift_cap = _DRIFT_TOL * h + 1e-14 * (1.0 + scale ** 2)
-                ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and (c_t - c <= drift_cap)
+                drifted = not c_t - c <= drift_cap
+                ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and not drifted
         if ok:
             x, E, c, k1 = trial, E_t, c_t, k1_t
+            drifts = 0
             t = opts.max_time if last else t + dt
             steps += 1
             run += 1
@@ -193,7 +201,9 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         else:
             run = 0
             dt = 0.5 * h
-            if dt < _DT_MIN:
+            drifts = drifts + 1 if drifted else 0
+            # the structural drift of the module docstring
+            if dt < _DT_MIN or drifts >= 3:
                 status = "step_underflow"
                 break
 

@@ -13,6 +13,7 @@ from quiverflow.fixtures import (
     hs2,
     hs2_rep,
     jordan_rep,
+    random_doubled,
 )
 from quiverflow.quiver import Quiver
 from quiverflow.rep import Representation
@@ -227,6 +228,15 @@ def test_project_snaps_to_zero(tmp_path):
     assert m[0][0] == [0.5, 0.0]
     assert m[0][1] == [0.0, 0.0]
     assert m[1][0] == [0.0, 0.0]
+
+
+def test_project_off_level_set_ends_quickly(tmp_path):
+    # this start lies off mu_C^{-1}(0), so its drift is first order in dt and
+    # halving dt cannot help; the flow used to crawl on at dt near 1e-7
+    x, _ = random_doubled(1, dmax=2)
+    code, out, _ = run_cli("project", write_rep(tmp_path / "off.json", x), timeout=5)
+    assert code == 3
+    assert json.loads(out)["result"]["status"] == "step_underflow"
 
 
 def test_project_flow_flags_apply_on_affine_defaults(tmp_path):

@@ -6,6 +6,7 @@ from quiverflow.critical import (
     ClassifyTols,
     _check_negative_vectors,
     _cluster,
+    _eigen_gap,
     classify_critical,
     hessian_spectrum,
     negative_slice_basis,
@@ -23,15 +24,20 @@ from quiverflow.quiver import Quiver, canonical_stability, crawley_boevey_frame,
 from quiverflow.rep import (
     Representation,
     add_tangent,
+    direct_sum,
+    edge_shapes,
     energy,
     group_act,
     hessian_apply,
+    hessian_matrix,
     inf_action_adjoint,
     mats_norm,
     mats_scale,
     mats_sub,
+    matrix_of,
     null_space,
     random_rep,
+    ravel_real,
 )
 
 
@@ -345,3 +351,110 @@ def test_cluster_matches_single_linkage_loop():
             else:
                 ref.append([int(idx)])
         assert [g.tolist() for g in _cluster(values, 1e-6)] == ref
+
+
+# ---------------------------------------------------------------------------
+# the block-by-block spectrum against the dense Hessian
+
+
+def _gauged_framed_critical(w, d, seed):
+    """The split critical point at dims (d, 1) of the doubled framed quiver
+    with w framing edges (b_j = [sqrt((d + 1) / w), 0, ...], a = 0), moved
+    by a random unitary at 1 and a phase at infinity."""
+    q = double_quiver(crawley_boevey_frame(Quiver(("1",), ()), {"1": w}))
+    dims = {"1": d, "inf": 1}
+    mats = [np.zeros((dims[q.head(e)], dims[q.tail(e)]), dtype=complex)
+            for e in range(q.nedges)]
+    for e in range(q.nedges):
+        if q.tail(e) == "1":
+            mats[e][0, 0] = np.sqrt((d + 1) / w)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    x = group_act([u, np.exp(2j * np.pi * rng.uniform()) * np.eye(1)], Representation(q, dims, mats))
+    return x, canonical_stability(q, dims)
+
+
+def _loop_limit(dims, seed):
+    """A flow limit on a quiver with a loop and a double edge."""
+    q = Quiver(("1", "2", "3"), (("1", "1"), ("1", "2"), ("1", "2"), ("2", "3")))
+    alpha = {"1": 0.5, "2": -1.0, "3": 0.7}
+    r = flow(random_rep(q, dims, np.random.default_rng(seed)), alpha, FlowOptions(dt_init=0.5))
+    assert r.status == "converged"
+    return r.limit, alpha
+
+
+def _loop_two_slopes():
+    """x1 + x2 on the loop at 1 with an edge 1 -> 2, weights (1, -1): x1 at
+    dims (1, 1) has slope 0, x2 at dims (1, 0) slope 1, and both carry a loop
+    scalar, so the Hessian couples the weights e_s - e_t and e_t - e_s;
+    moved by a unitary at 1."""
+    q = Quiver(("1", "2"), (("1", "1"), ("1", "2")))
+    x1 = Representation(q, {"1": 1, "2": 1}, [np.array([[0.7]]), np.array([[np.sqrt(2.0)]])])
+    x2 = Representation(q, {"1": 1, "2": 0}, [np.array([[-0.4 + 0.3j]]), np.zeros((0, 1))])
+    u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
+    return group_act([u, np.eye(1)], direct_sum(x1, x2)), {"1": 1, "2": -1}
+
+
+_SPECTRUM_CASES = {
+    # weights (1, 0, -1) give the pairs {1, 2} and {2, 3} the same eigenvalues,
+    # so one cluster merges vectors of two blocks
+    **{f"triangle_d{d}_{name}": (lambda d=d, a=a: (Representation.zero(
+           _doubled_triangle_zero()[0].quiver, {v: d for v in "123"}), a))
+       for d in (1, 2, 3)
+       for name, a in (("distinct", {"1": 1, "2": 2, "3": -3}), ("shared", {"1": 1, "2": 0, "3": -1}))},
+    **{f"framed_w{w}d{d}": (lambda w=w, d=d: _gauged_framed_critical(w, d, 10 * w + d))
+       for w, d in ((2, 2), (2, 3), (3, 2), (4, 4))},
+    "framed_a1_saddle": lambda: (framed_a1_rep(0.0, 0.0), framed_a1_weights()),
+    "loop_two_slopes": _loop_two_slopes,
+    "loop_multi_edge_limit": lambda: _loop_limit({"1": 2, "2": 2, "3": 1}, 2),
+    "zero_dim_vertex_limit": lambda: _loop_limit({"1": 2, "2": 1, "3": 0}, 1),
+}
+
+
+def _dense_spectrum(x, alpha):
+    """The reference: one eigh of the dense Hessian, clustered with the same
+    gap; each cluster as (lambda, mult, orthonormal columns)."""
+    H = hessian_matrix(x, alpha)
+    w, V = np.linalg.eigh((H + H.T) / 2.0)
+    return [(float(np.mean(w[g])), len(g), V[:, g]) for g in _cluster(w, _eigen_gap(x, alpha))]
+
+
+@pytest.mark.parametrize("case", sorted(_SPECTRUM_CASES))
+def test_hessian_spectrum_matches_dense_eigh(case):
+    x, alpha = _SPECTRUM_CASES[case]()
+    spectrum, defect, prof = hessian_spectrum(x, alpha)
+    ref = _dense_spectrum(x, alpha)
+    gap = _eigen_gap(x, alpha)
+    scale = gap / 1e-6  # max(|x|^2, max |alpha|), the degree-2 scale
+    n = 2 * sum(m.size for m in x.mats)
+    assert [m for _, m, _ in spectrum] == [m for _, m, _ in ref]
+    lams = np.array([lam for lam, _, _ in ref])
+    for (lam, _, tangents), (ref_lam, _, V) in zip(spectrum, ref):
+        assert abs(lam - ref_lam) <= 1e-12 * scale
+        # eigenvectors in a cluster are fixed only up to a change of basis, so
+        # compare projectors; dropping cross-block entries of size at most
+        # defect moves a cluster at distance sep from the rest by n defect / sep
+        sep = np.min(np.abs(lams[lams != ref_lam] - ref_lam), initial=np.inf)
+        W = np.array([ravel_real(X) for X in tangents]).T
+        assert np.max(np.abs(W @ W.T - V @ V.T)) <= 1e-12 + n * defect / sep
+    assert prof.neg_spectrum == [(pytest.approx(lam, abs=1e-12 * scale), m)
+                                 for lam, m, _ in ref if lam < -gap]
+
+
+@pytest.mark.parametrize("case", sorted(_SPECTRUM_CASES))
+def test_dense_hessian_is_block_diagonal_in_eigenbasis_coordinates(case):
+    x, alpha = _SPECTRUM_CASES[case]()
+    _, defect, prof = hessian_spectrum(x, alpha)
+    q, B, labels = x.quiver, prof.bases, prof.labels
+    shapes = edge_shapes(q, x.dims)
+    # U sends [re, im] coordinates of X to those of B_h^* X B_t
+    U = matrix_of(lambda X: [B[h].conj().T @ m @ B[t] for (t, h), m in zip(q.ends, X)], shapes)
+    H = U @ hessian_matrix(x, alpha) @ U.T
+    pair = []
+    for t, h in q.ends:
+        for _ in ("re", "im"):
+            pair += [frozenset((int(s), int(u))) for s in labels[h] for u in labels[t]]
+    cross = np.array([[a != b for b in pair] for a in pair], dtype=bool)
+    assert np.max(np.abs(H[cross]), initial=0.0) <= defect
+    # the dropped entries stay below the gap that clusters eigenvalues
+    assert defect < _eigen_gap(x, alpha)
