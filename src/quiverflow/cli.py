@@ -94,6 +94,8 @@ def _flow_summary(res, limit) -> dict:
     return {
         "status": res.status,
         "steps": int(res.steps),
+        "attempts": int(res.attempts),
+        "rejected": dict(res.rejected),
         "time": float(res.time),
         "final_energy": float(res.final_energy),
         "final_grad_norm": float(res.final_grad_norm),

@@ -1,18 +1,28 @@
 """Downward gradient flow of the energy with step acceptance control.
 
 Classical 4th-order explicit steps with step-doubling acceptance: a trial
-step is kept iff the energy does not increase (within 1e-12 relative slack),
-the constraint increment stays below _DRIFT_TOL * dt, and the full-step vs
-two-half-steps discrepancy stays below _STEP_TOL.  The half-step composition
-is what gets propagated.  Rejection halves dt, and a dt below _DT_MIN ends the
-flow with step_underflow; five consecutive accepts grow it by 1.5x.  A third
-drift rejection in a row ends it with step_underflow too: the rate
-(c_t - c) / dt stayed above _DRIFT_TOL over two halvings, the mark of a start
-off mu_C^{-1}(0), where mu_C keeps its conjugacy class but not its norm along
-the G_C-orbit and so drifts at first order in dt.  dt_init
-is only the first step: the three acceptance tests bound every later one.  A
-step that would pass max_time is cut to end there.  No projection back onto
-the constraint set is performed: drift is monitored and reported.
+step is kept iff the full-step vs two-half-steps discrepancy est stays below
+tol = _STEP_TOL * (1 + |x|), the energy does not increase (within 1e-12
+relative slack), and the constraint increment stays below _DRIFT_TOL * dt.
+The half-step composition is what gets propagated.  dt_init is only the first
+step.  After an accepted step or a step-error rejection the next one is
+h * min(4, max(0.2, 0.9 * (tol / est)^(1/5))), since est is of order h^5
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4); after a rejection the
+factor is at most 0.5, and est = 0 takes the growth limit.  A non-finite est,
+an energy rejection and a drift rejection halve h.  After an accepted step the
+next one is also capped at 2 / lam, where lam is the secant
+|k1_new - k1| / |x_new - x| of the gradients, kept as a running maximum
+decayed by 0.9 per accepted step: near a limit est is tiny, and h would grow
+past RK4's stability bound on the real axis, 2.785 / lambda_max, as in the
+stiffness detection of DOPRI5 (Hairer & Wanner, Solving ODEs II, IV.2).  A dt
+below _DT_MIN ends the flow with step_underflow.  A third drift rejection in a
+row ends it with step_underflow too: the rate (c_t - c) / dt stayed above
+_DRIFT_TOL over two halvings, the mark of a start off mu_C^{-1}(0), where mu_C
+keeps its conjugacy class but not its norm along the G_C-orbit and so drifts
+at first order in dt.  A step that would pass max_time is cut to end there.
+No projection back onto the constraint set is performed: drift is monitored
+and reported, and FlowResult counts the attempts and the rejections by
+reason.
 
 The state is one packed (E, d, d) array of zero-padded edge matrices (``rep``
 module docstring, "Packed layout"): the validated input copy is packed once,
@@ -86,8 +96,14 @@ class FlowResult:
     final_energy: float
     final_constraint: float
     steps: int
+    rejected: dict  # step_error | nonfinite | energy_increase | constraint_drift -> count
     time: float
     options: FlowOptions
+
+    @property
+    def attempts(self) -> int:
+        # each attempt is accepted or rejected for one reason
+        return self.steps + sum(self.rejected.values())
 
 
 def resolve_constraint(quiver: Quiver, kind: str) -> str:
@@ -141,8 +157,9 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
     x = lay.pack(start.mats)
     t = 0.0
     steps = 0
+    rejected = dict.fromkeys(("step_error", "nonfinite", "energy_increase", "constraint_drift"), 0)
     dt = float(opts.dt_init)
-    run = 0
+    lam = 0.0  # the stiffness estimate: a decayed running maximum of secants
     with np.errstate(over="ignore", invalid="ignore"):
         E, k1 = _energy_and_grad(lay, x, shift)
         g = _norm(k1)
@@ -174,34 +191,36 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
             est = _norm(full - trial)
             # the acceptance tests keep their 1 + |x| floors: other gates
             # would change every trajectory
-            ok = est <= _STEP_TOL * (1.0 + scale)
-            drifted = False
-            if ok:
+            tol = _STEP_TOL * (1.0 + scale)
+            reason = None if est <= tol else "step_error" if np.isfinite(est) else "nonfinite"
+            if reason is None:
                 E_t, k1_t = _energy_and_grad(lay, trial, shift)
                 c_t = constraint(trial)
                 # the constraint increment gets a roundoff floor so shrinking dt
                 # cannot make the bound unsatisfiable; the floor keeps cumulative
                 # drift below 1e-8 * scale across the step budget
                 drift_cap = _DRIFT_TOL * h + 1e-14 * (1.0 + scale ** 2)
-                drifted = not c_t - c <= drift_cap
-                ok = (E_t <= E + _ENERGY_SLACK * (1.0 + abs(E))) and not drifted
-        if ok:
+                if not c_t - c <= drift_cap:
+                    reason = "constraint_drift"
+                elif not E_t <= E + _ENERGY_SLACK * (1.0 + abs(E)):
+                    reason = "energy_increase"
+        fac = min(4.0, max(0.2, 0.9 * (tol / est) ** 0.2)) if est > 0 else 4.0
+        if reason is None:
+            # a step too short to move x leaves k1 as it was: a secant of 0
+            lam = max(0.9 * lam, _norm(k1_t - k1) / (_norm(trial - x) or 1.0))
             x, E, c, k1 = trial, E_t, c_t, k1_t
             drifts = 0
-            t = opts.max_time if last else t + dt
+            t = opts.max_time if last else t + h
             steps += 1
-            run += 1
-            if run >= 5:
-                dt *= 1.5
-                run = 0
+            dt = min(fac * h, 2.0 / lam) if lam else fac * h
             g = _norm(k1)
             scale = _norm(x)
             if steps % _SAMPLE_STRIDE == 0:
                 samples.append((t, E, g, c))
         else:
-            run = 0
-            dt = 0.5 * h
-            drifts = drifts + 1 if drifted else 0
+            rejected[reason] += 1
+            dt = min(fac, 0.5) * h if reason == "step_error" else 0.5 * h
+            drifts = drifts + 1 if reason == "constraint_drift" else 0
             # the structural drift of the module docstring
             if dt < _DT_MIN or drifts >= 3:
                 status = "step_underflow"
@@ -217,6 +236,7 @@ def flow(x0: Representation, alpha, opts: FlowOptions | None = None) -> FlowResu
         final_energy=E,
         final_constraint=c,
         steps=steps,
+        rejected=rejected,
         time=t,
         options=opts,
     )

@@ -40,6 +40,13 @@ def write_rep(path, x):
     return write_json(path, rep_to_json(x))
 
 
+def _check_attempts(result):
+    # every attempt is an accepted step or a rejection for one reason
+    rejected = result["rejected"]
+    assert set(rejected) == {"step_error", "nonfinite", "energy_increase", "constraint_drift"}
+    assert result["attempts"] == result["steps"] + sum(rejected.values())
+
+
 @pytest.fixture
 def f1_files(tmp_path):
     q = framed_a1()
@@ -90,6 +97,7 @@ def test_flow_converges_and_writes_outputs(f1_files):
     assert doc["result"]["status"] == "converged"
     assert doc["result"]["final_energy"] < 1e-12
     assert doc["config"]["dt_init"] == 0.5
+    _check_attempts(doc["result"])
     lines = csv.read_text().splitlines()
     assert lines[0] == "t,energy,grad_norm,constraint_norm"
     assert len(lines) > 2
@@ -224,6 +232,7 @@ def test_project_snaps_to_zero(tmp_path):
     code, out, _ = run_cli("project", rep, "--snap", "auto")
     assert code == 0
     doc = json.loads(out)
+    _check_attempts(doc["result"])
     m = doc["result"]["limit"]["mats"]["0"]
     assert m[0][0] == [0.5, 0.0]
     assert m[0][1] == [0.0, 0.0]

@@ -8,12 +8,15 @@ from quiverflow.fixtures import (
     chain2_weights,
     framed_a1_rep,
     framed_a1_weights,
+    framed_a1w2_critical,
     hs3,
+    jordan_rep,
     random_doubled,
     random_plain,
 )
 import quiverflow.rep as rep
 from quiverflow.correspond import handsaw_constraint
+from quiverflow.critical import hessian_spectrum, negative_slice_basis
 from quiverflow.flow import (
     FlowOptions,
     _rk4,
@@ -25,11 +28,13 @@ from quiverflow.quiver import Quiver, crawley_boevey_frame, double_quiver, hands
 from quiverflow.rep import (
     Representation,
     _view,
+    add_tangent,
     direct_sum,
     energy,
     grad_energy,
     group_act,
     mats_norm,
+    mats_scale,
     moment_complex,
     random_rep,
     rep_distance,
@@ -397,3 +402,66 @@ def test_flow_builds_h_once_per_point(monkeypatch, make):
     # every attempt builds H at least for its 7 stages, so the hook sees them
     assert 7 * n + 1 <= len(seen) <= 8 * n + 1
     assert len(set(seen)) == len(seen)
+
+
+def _w2_slice_seed():
+    # criterion 09's start: the w = 2 framed critical point plus a slice direction
+    xc = framed_a1w2_critical(np.sqrt(1.5), np.sqrt(1.5))
+    alpha = {"1": 1, "inf": -2}
+    basis, _ = negative_slice_basis(xc, alpha)
+    return add_tangent(xc, mats_scale(0.4, basis[0])), alpha
+
+
+@pytest.mark.parametrize("make, max_steps", [
+    (lambda: (framed_a1_rep(0.0, 3.0), framed_a1_weights()), 134),
+    (lambda: (chain2_rep(2.0), chain2_weights()), 109),
+    (_w2_slice_seed, 163),
+], ids=["framed_a1", "chain2", "w2_slice"])
+def test_step_count_ceilings(make, max_steps):
+    # the error-proportional controller takes 128, 104 and 156 steps with at
+    # most 4 rejections; the ceilings are those counts + 5 %
+    x0, alpha = make()
+    r = flow(x0, alpha, FlowOptions(dt_init=0.5))
+    assert r.status == "converged"
+    assert r.steps <= max_steps
+    assert sum(r.rejected.values()) <= 5
+
+
+def test_rejections_by_reason():
+    x, alpha = random_doubled(seed=2)
+    r = flow(x, alpha, FlowOptions(max_time=50.0, dt_init=0.5))
+    # the structural-drift stop comes at the third drift rejection in a row
+    assert r.status == "step_underflow" and r.rejected["constraint_drift"] == 3
+    # a zero-weight flow's first dt of 64 overflows
+    r = flow(jordan_rep([[1.0, 1.0], [0.0, 2.0]]), {"1": 0}, FlowOptions(dt_init=64.0))
+    assert r.status == "converged" and r.rejected["nonfinite"] > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (framed_a1_rep(0.0, 3.0), framed_a1_weights()),
+    lambda: (chain2_rep(2.0), chain2_weights()),
+], ids=["framed_a1", "chain2"])
+def test_step_stays_in_rk4_stability_interval(monkeypatch, make):
+    # near the limit est is tiny, and only the secant stiffness cap keeps
+    # h * lambda_max inside RK4's real stability interval [-2.785, 0]; without
+    # it h grows to 13.8 / lambda_max on chain2.  The round trips' grad_tol of
+    # 1e-11 leaves a tail long enough for the cap to bind.  The secant sees
+    # only the modes that the flow excites, so these are flows whose stiffest
+    # mode is excited: on criterion 09's w = 2 seed the lambda = 6 mode is
+    # not, and h * 6 reaches 6 there
+    x0, alpha = make()
+    attempts = []
+    flow_module = sys.modules[flow.__module__]
+
+    def counted(*args):
+        if np.ndim(args[3]) > 0:  # the batched call opens an attempt at h = dt[0]
+            attempts.append((mats_norm([args[2]]), float(args[3][0, 0, 0, 0])))
+        return _rk4(*args)
+
+    monkeypatch.setattr(flow_module, "_rk4", counted)
+    r = flow(x0, alpha, FlowOptions(dt_init=0.5, grad_tol=1e-11))
+    assert r.status == "converged" and r.attempts == len(attempts)
+    spectrum, _, _ = hessian_spectrum(r.limit, alpha)
+    lam_max = max(lam for lam, _, _ in spectrum)
+    late = [h for g, h in attempts if g < 1e-6]
+    assert late and max(late) * lam_max <= 2.785
